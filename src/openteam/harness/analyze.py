@@ -23,7 +23,7 @@ import numpy as np
 
 from ..config import RunConfig
 from ..envs.session import make_session
-from ..learner.trainer import GplPolicy
+from ..learner.trainer import GPL_ALGORITHMS, GplPolicy
 from .checkpoint import CheckpointError, load_checkpoint
 
 
@@ -58,7 +58,7 @@ def analyze_pairwise(
     checkpoint_path, cfg: RunConfig, episodes: int = 10, seed: int = 0, literal: bool = False
 ) -> dict:
     """Greedy-trajectory analysis table for a coordination-graph checkpoint."""
-    if cfg.algorithm not in ("GPL-Q", "GPL-SPI"):
+    if cfg.algorithm not in GPL_ALGORITHMS:
         raise CheckpointError(f"analysis needs a coordination-graph run, got {cfg.algorithm!r}")
     stores, manifest = load_checkpoint(checkpoint_path)
     if "agent_model" not in stores:

@@ -11,7 +11,7 @@ import numpy as np
 from ..config import ConfigError, RunConfig, config_from_dict, config_to_dict
 from ..envs.session import make_session
 from ..learner.baseline import BaselinePolicy
-from ..learner.trainer import GplPolicy, train
+from ..learner.trainer import GPL_ALGORITHMS, GplPolicy, train
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, shape_diff
 from .metrics import MetricRecord, append_record
 
@@ -59,28 +59,23 @@ def run_training(cfg: RunConfig, out_dir) -> str:
 
 
 def _check_compatible(cfg: RunConfig, stores: dict):
-    from ..learner.baseline import init_baseline_net
-    from ..learner.model import init_model_net, init_value_net
+    from ..learner.baseline import init_baseline_net, padded_input_len
+    from ..learner.model import env_dims, init_model_net, init_value_net
 
-    probe = make_session(cfg.env, cfg.openness_eval, np.random.default_rng(0))
-    x_len, u_len = probe.obs_dims
+    x_len, u_len, action_count = env_dims(cfg)
     in_dim = x_len + u_len
     rng = np.random.default_rng(0)
-    if cfg.algorithm in ("GPL-Q", "GPL-SPI"):
+    if cfg.algorithm in GPL_ALGORITHMS:
         expected = {
-            "value": init_value_net(in_dim, probe.action_count, cfg.net, rng).shapes(),
-            "agent_model": init_model_net(in_dim, probe.action_count, cfg.net, rng).shapes(),
+            "value": init_value_net(in_dim, action_count, cfg.net, rng).shapes(),
+            "agent_model": init_model_net(in_dim, action_count, cfg.net, rng).shapes(),
         }
     else:
-        block = x_len + (probe.action_count if cfg.algorithm == "QL-AM" else 0)
-        input_len = x_len + (cfg.max_team_pad - 1) * block + u_len
         expected = {
-            "value": init_baseline_net(input_len, probe.action_count, cfg.net, rng).shapes()
+            "value": init_baseline_net(padded_input_len(cfg), action_count, cfg.net, rng).shapes()
         }
         if cfg.algorithm == "QL-AM":
-            expected["agent_model"] = init_model_net(
-                in_dim, probe.action_count, cfg.net, rng
-            ).shapes()
+            expected["agent_model"] = init_model_net(in_dim, action_count, cfg.net, rng).shapes()
     problems = []
     for name, shapes in expected.items():
         if name not in stores:
@@ -113,7 +108,7 @@ def evaluate(
     env_rng = np.random.default_rng(seeds[0])
     policy_rng = np.random.default_rng(seeds[1])
     session = make_session(cfg.env, openness, env_rng)
-    if cfg.algorithm in ("GPL-Q", "GPL-SPI"):
+    if cfg.algorithm in GPL_ALGORITHMS:
         policy = GplPolicy(eval_cfg, stores["value"], stores["agent_model"], policy_rng)
     else:
         policy = BaselinePolicy(

@@ -15,7 +15,9 @@ from ..learner.values import (
     UtilityTables,
     agent_model_loss,
     joint_q,
+    joint_values,
     marginal_q,
+    marginal_values,
     model_rows,
     utility_rows,
     value_loss,
@@ -48,26 +50,6 @@ def random_instance(rng, max_teammates=4, max_actions=6):
     )
     probs = rng.dirichlet(np.ones(actions), size=n_team)
     return tables, AgentModelOutput(ids[1:], Tensor(probs))
-
-
-def brute_force_marginal(tables: UtilityTables, model_out: AgentModelOutput) -> np.ndarray:
-    """Enumerate every teammate joint action and average joint_q by its
-    probability under the per-teammate product distribution."""
-    teammates = model_out.teammate_ids
-    actions = tables.action_count
-    probs = model_out.probs.data
-    out = np.zeros(actions)
-    for own_action in range(actions):
-        total = 0.0
-        for combo in itertools.product(range(actions), repeat=len(teammates)):
-            joint = {tables.learner_id: own_action}
-            weight = 1.0
-            for j, a in zip(teammates, combo):
-                joint[j] = a
-                weight *= probs[model_out.teammate_ids.index(j), a]
-            total += float(joint_q(tables, joint).data) * weight
-        out[own_action] = total
-    return out
 
 
 def enumerate_marginal(tables: UtilityTables, model_out: AgentModelOutput, rng=None):
@@ -129,16 +111,21 @@ def enumerate_marginal(tables: UtilityTables, model_out: AgentModelOutput, rng=N
 
 
 def marginalization_suite(instances=1000, seed=0):
-    """Worst relative error of marginal_q against brute-force enumeration."""
+    """Worst relative error of `marginal_values` (the marginalization that
+    training and acting use) and of its tensor reference `marginal_q`
+    against brute-force enumeration."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
         tables, model_out = random_instance(rng)
-        fast = marginal_q(tables, model_out, 0).data
         brute = enumerate_marginal(tables, model_out, rng=rng)
-        denom = np.maximum(np.abs(brute), np.abs(fast))
-        denom = np.maximum(denom, 1e-9)
-        worst = max(worst, float(np.max(np.abs(fast - brute) / denom)))
+        reference = marginal_q(tables, model_out, 0).data
+        fast = marginal_values(
+            tables.singular_rows.data, tables.factor_rows.data, model_out.probs.data, 0, tables.rank
+        )
+        for got in (fast, reference):
+            denom = np.maximum(np.maximum(np.abs(brute), np.abs(got)), 1e-9)
+            worst = max(worst, float(np.max(np.abs(got - brute) / denom)))
     return worst
 
 
@@ -188,17 +175,22 @@ def _block_checks(rng, instances):
 
 
 def _loss_checks(rng, instances):
-    """Gradient checks through the composed value and model losses."""
+    """Gradient checks through the composed value and model losses, in the
+    batched form training minimizes: two teams stacked into one batch."""
     in_dim, actions = 5, 4
     for i in range(instances):
-        n_agents = int(rng.integers(2, 4))
+        sizes = [int(rng.integers(2, 4)), int(rng.integers(1, 3))]
+        n_rows = sum(sizes)
+        segments = [(0, sizes[0]), (sizes[0], n_rows)]
+        learner_rows = [lo for lo, hi in segments for _ in range(lo, hi)]
+        mates = [r for r in range(n_rows) if r != learner_rows[r]]
         value_params = init_value_net(in_dim, actions, SMALL_NET, rng)
         model_params = init_model_net(in_dim, actions, SMALL_NET, rng)
-        batch = rng.normal(size=(n_agents, in_dim))
-        h0 = rng.normal(size=(n_agents, SMALL_NET.embedding_dim)) * 0.3
-        c0 = rng.normal(size=(n_agents, SMALL_NET.embedding_dim)) * 0.3
-        joint = {j: int(rng.integers(0, actions)) for j in range(n_agents)}
-        y = float(rng.normal())
+        batch = rng.normal(size=(n_rows, in_dim))
+        h0 = rng.normal(size=(n_rows, SMALL_NET.embedding_dim)) * 0.3
+        c0 = rng.normal(size=(n_rows, SMALL_NET.embedding_dim)) * 0.3
+        taken = [int(a) for a in rng.integers(0, actions, size=n_rows)]
+        targets = rng.normal(size=len(segments))
 
         vnames = value_params.names()
         target = vnames[i % len(vnames)]
@@ -206,24 +198,20 @@ def _loss_checks(rng, instances):
         def f_value(p, *, params=value_params, target=target):
             patched = params.replace({target: p})
             h, _ = embed_rows(patched, batch, h0, c0)
-            sing, fac = utility_rows(patched, h, [0] * n_agents)
-            tables = UtilityTables(0, list(range(n_agents)), actions, SMALL_NET.rank, sing, fac)
-            return value_loss(joint_q(tables, joint), y)
+            sing, fac = utility_rows(patched, h, learner_rows)
+            joint = joint_values(sing, fac, taken, segments, SMALL_NET.rank)
+            return value_loss(joint, targets)
 
         yield f"value-loss/{target}", grad_check(f_value, value_params[target])
 
-        observed = {j: joint[j] for j in range(1, n_agents)}
         mnames = model_params.names()
         target = mnames[i % len(mnames)]
 
         def f_model(p, *, params=model_params, target=target):
             patched = params.replace({target: p})
             h, _ = embed_rows(patched, batch, h0, c0)
-            probs = model_rows(patched, h, [(0, n_agents)])
-            out = AgentModelOutput(
-                list(range(1, n_agents)), T.select_rows(probs, list(range(1, n_agents)))
-            )
-            return agent_model_loss(out, observed)
+            probs = model_rows(patched, h, [(lo, hi - lo) for lo, hi in segments])
+            return agent_model_loss(probs, mates, [taken[r] for r in mates])
 
         yield f"model-loss/{target}", grad_check(f_model, model_params[target])
 

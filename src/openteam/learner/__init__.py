@@ -1,7 +1,6 @@
 from .model import (
     EmbeddingStore,
     embed_rows,
-    embed_types,
     init_model_net,
     init_value_net,
     preprocess,
@@ -11,19 +10,18 @@ from .values import (
     UtilityTables,
     act,
     agent_model_loss,
-    compute_utilities,
     joint_q,
+    joint_values,
     marginal_q,
+    marginal_values,
     spi_policy,
     td_target,
-    teammate_probs,
     value_loss,
 )
 
 __all__ = [
     "EmbeddingStore",
     "embed_rows",
-    "embed_types",
     "init_model_net",
     "init_value_net",
     "preprocess",
@@ -31,11 +29,11 @@ __all__ = [
     "UtilityTables",
     "act",
     "agent_model_loss",
-    "compute_utilities",
     "joint_q",
+    "joint_values",
     "marginal_q",
+    "marginal_values",
     "spi_policy",
     "td_target",
-    "teammate_probs",
     "value_loss",
 ]

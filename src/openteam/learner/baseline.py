@@ -18,11 +18,17 @@ from .. import nn
 from .. import tensor as T
 from ..config import RunConfig
 from ..envs.session import make_session
-from ..openness import LEARNER_ID
-from ..tensor import Tape, Tensor, backward
-from .model import EmbeddingStore, embed_rows, init_model_net, preprocess
-from .values import AgentModelOutput, agent_model_loss, model_rows
-from .trainer import _tensor_sum
+from ..tensor import Tensor
+from .model import (
+    EmbeddingStore,
+    agent_model_step,
+    embed_rows,
+    env_dims,
+    init_embedding,
+    init_model_net,
+    stack_states,
+)
+from .values import act, agent_model_loss, one_hot, td_target
 
 
 class SlotMap:
@@ -54,17 +60,17 @@ class SlotMap:
             self.assign(agent_id, rng)
 
 
-def pad_observation(obs, max_agents: int, slot_map: SlotMap, probs=None) -> np.ndarray:
+def pad_observation(obs, max_agents: int, slot_map: SlotMap, probs=None, width=0) -> np.ndarray:
     """Fixed-length vector: learner block, teammate slots, then u.
 
-    `probs` (teammate id -> action distribution) switches on the QL-AM
-    layout, appending a distribution to every teammate block.
+    `probs` (teammate id -> action distribution of length `width`) switches
+    on the QL-AM layout, appending a distribution to every teammate block.
     """
     teammates = [j for j in obs.order if j != obs.learner_id]
     if len(teammates) > max_agents - 1:
         raise ValueError(f"{len(teammates)} teammates exceed {max_agents - 1} slots")
     x_len = len(obs.x[obs.learner_id])
-    block = x_len if probs is None else x_len + _probs_width(probs)
+    block = x_len if probs is None else x_len + width
     slots = np.full((max_agents - 1) * block, -1.0)
     for agent_id in teammates:
         s = slot_map.assigned[agent_id]
@@ -75,16 +81,32 @@ def pad_observation(obs, max_agents: int, slot_map: SlotMap, probs=None) -> np.n
     return np.concatenate([obs.x[obs.learner_id], slots, obs.u])
 
 
-def _probs_width(probs) -> int:
-    for vec in probs.values():
-        return len(vec)
-    raise ValueError("need at least one distribution to size the input")
+def padded_input_len(cfg: RunConfig) -> int:
+    """Length of the padded input vector of the configured baseline."""
+    x_len, u_len, action_count = env_dims(cfg)
+    block = x_len + (action_count if cfg.algorithm == "QL-AM" else 0)
+    return x_len + (cfg.max_team_pad - 1) * block + u_len
+
+
+def padded_input(obs, slot_map: SlotMap, action_count: int, model_params, store, pending):
+    """The padded input row for `obs`, plus the agent model's output.
+
+    Without `model_params` (QL) the row is `pad_observation`'s. With them
+    (QL-AM) the agent model's recurrence in `store` advances to `obs` from
+    the `pending` (departures, arrivals), and every teammate block also
+    carries that teammate's predicted action distribution. Returns (row,
+    every agent's distributions or None, teammate rows).
+    """
+    max_agents = slot_map.n_slots + 1
+    if model_params is None:
+        return pad_observation(obs, max_agents, slot_map), None, []
+    probs, mates = agent_model_step(model_params, obs, store, *pending)
+    dists = {obs.order[r]: probs.data[r] for r in mates}
+    return pad_observation(obs, max_agents, slot_map, dists, action_count), probs, mates
 
 
 def init_baseline_net(input_len, action_count, net_cfg, rng) -> nn.ParamStore:
     values = {}
-    from .model import init_embedding
-
     init_embedding(input_len, net_cfg.embedding_dim, rng, values)
     head = nn.init_mlp(
         [net_cfg.embedding_dim, *net_cfg.utility_hidden, action_count], rng, prefix="head."
@@ -94,316 +116,142 @@ def init_baseline_net(input_len, action_count, net_cfg, rng) -> nn.ParamStore:
     return nn.ParamStore(values)
 
 
-def ql_baseline_forward(params, padded: np.ndarray, state):
-    """(action values, (h', c')) for one padded input row."""
-    row = padded.reshape(1, -1)
-    h, c = state
+def ql_baseline_forward(params, padded, state):
+    """(action values (n, |A|), (h', c')) for n padded input rows (or one)."""
+    rows = np.atleast_2d(padded)
     expected = params["embed.fc.w0"].data.shape[0]
-    if row.shape[-1] != expected:
-        raise ValueError(f"padded input length {row.shape[-1]} != expected {expected}")
-    h_new, c_new = embed_rows(params, row, h, c)
-    q = nn.mlp_forward(params, h_new, prefix="head.")
-    return T.reshape(q, (q.data.shape[-1],)), (h_new, c_new)
+    if rows.shape[-1] != expected:
+        raise ValueError(f"padded input length {rows.shape[-1]} != expected {expected}")
+    h, c = embed_rows(params, rows, *state)
+    return nn.mlp_forward(params, h, prefix="head."), (h, c)
 
 
 @dataclass
-class _BaselineSlot:
+class _Slot:
     session: object
-    slot_map: SlotMap
     obs: object = None
-    h: np.ndarray = None
-    c: np.ndarray = None
-    h_targ: np.ndarray = None
-    c_targ: np.ndarray = None
+    slot_map: SlotMap = None
+    state: tuple = None  # (h, c) of the online value recurrence
+    target_state: tuple = None
     am_store: EmbeddingStore = None
     pending_am: tuple = ((), ())
-    episode_return: float = 0.0
-    last_model_out: object = None
-    next_slot_map: object = None
 
 
-class PaddedQTrainer:
-    """Synchronous Q-learning over padded fixed-length inputs (QL / QL-AM)."""
+class PaddedStep:
+    """The padded-input baselines' (QL / QL-AM) part of a `Trainer`
+    iteration."""
+
+    store_order = ("value", "target_value", "agent_model")
 
     def __init__(self, cfg: RunConfig):
-        cfg.validate()
-        if cfg.algorithm not in ("QL", "QL-AM"):
-            raise ValueError(f"PaddedQTrainer cannot run {cfg.algorithm!r}")
         self.cfg = cfg
         self.with_model = cfg.algorithm == "QL-AM"
-        seeds = np.random.SeedSequence(cfg.seed).spawn(4 + cfg.parallel_envs)
-        init_rng = np.random.default_rng(seeds[0])
-        self.learner_rng = np.random.default_rng(seeds[1])
-        self.slot_rng = np.random.default_rng(seeds[2])
-
-        probe = make_session(cfg.env, cfg.openness_train, np.random.default_rng(0))
-        x_len, u_len = probe.obs_dims
-        self.action_count = probe.action_count
-        self.x_len = x_len
-        block = x_len + (self.action_count if self.with_model else 0)
-        self.input_len = x_len + (cfg.max_team_pad - 1) * block + u_len
-        self.in_dim_model = x_len + u_len
-
-        self.value_params = init_baseline_net(
-            self.input_len, self.action_count, cfg.net, init_rng
-        )
-        self.target_params = self.value_params.replace({})
-        self.model_params = (
-            init_model_net(self.in_dim_model, self.action_count, cfg.net, init_rng)
-            if self.with_model
-            else None
-        )
-        self.opt_value = nn.AdamState(lr=cfg.lr)
-        self.opt_model = nn.AdamState(lr=cfg.lr)
-        self.acc_value: dict[str, np.ndarray] = {}
-        self.acc_model: dict[str, np.ndarray] = {}
-
-        dim = cfg.net.embedding_dim
+        self.seeds = np.random.SeedSequence(cfg.seed).spawn(4 + cfg.parallel_envs)
+        self.learner_rng = np.random.default_rng(self.seeds[1])
+        self.slot_rng = np.random.default_rng(self.seeds[2])
+        self.action_count = env_dims(cfg)[2]
         self.slots = []
-        for i in range(cfg.parallel_envs):
-            session = make_session(cfg.env, cfg.openness_train, np.random.default_rng(seeds[4 + i]))
-            slot = _BaselineSlot(session, SlotMap(cfg.max_team_pad - 1))
-            slot.obs = session.reset()
-            slot.h = np.zeros((1, dim))
-            slot.c = np.zeros((1, dim))
-            slot.h_targ = np.zeros((1, dim))
-            slot.c_targ = np.zeros((1, dim))
-            slot.slot_map.apply([], slot.obs.order[1:], self.slot_rng)
-            slot.am_store = EmbeddingStore(dim)
-            slot.pending_am = ([], list(slot.obs.order))
+        for seed in self.seeds[4:]:
+            slot = _Slot(make_session(cfg.env, cfg.openness_train, np.random.default_rng(seed)))
+            self._start_episode(slot)
             self.slots.append(slot)
 
-        self.global_step = 0
-        self.iteration = 0
-        self.window_returns: list[float] = []
-        self.window_nll_sum = 0.0
-        self.window_nll_count = 0
-        self.window_qbar_sum = 0.0
-        self.window_qbar_count = 0
+    def init_params(self):
+        """Initial (value, agent-model) parameters; no agent model for QL."""
+        rng = np.random.default_rng(self.seeds[0])
+        x_len, u_len, action_count = env_dims(self.cfg)
+        value = init_baseline_net(padded_input_len(self.cfg), action_count, self.cfg.net, rng)
+        if not self.with_model:
+            return value, None
+        return value, init_model_net(x_len + u_len, action_count, self.cfg.net, rng)
 
-    def stores(self) -> dict:
-        out = {"value": self.value_params, "target_value": self.target_params}
-        if self.with_model:
-            out["agent_model"] = self.model_params
-        return out
+    def _start_episode(self, slot):
+        dim = self.cfg.net.embedding_dim
+        slot.obs = slot.session.reset()
+        slot.state = slot.target_state = (np.zeros((1, dim)), np.zeros((1, dim)))
+        slot.slot_map = SlotMap(self.cfg.max_team_pad - 1)
+        slot.slot_map.apply([], slot.obs.order[1:], self.slot_rng)
+        slot.am_store = EmbeddingStore(dim)
+        slot.pending_am = ([], list(slot.obs.order))
 
-    def _model_probs(self, bound_model, slot) -> tuple:
-        """Advance the agent-model recurrence at the current obs; returns
-        (probs tensor rows for teammates, teammate ids)."""
-        batch, _ = preprocess(slot.obs, slot.am_store, *slot.pending_am, maps=("model",))
-        h0, c0 = slot.am_store.stacked("model")
-        hm, cm = embed_rows(bound_model, batch, h0, c0)
-        slot.am_store.write("model", hm.data, cm.data)
-        order = list(slot.obs.order)
-        probs_rows = model_rows(bound_model, hm, [(0, len(order))])
-        teammates = [j for j in order if j != LEARNER_ID]
-        rows = [order.index(j) for j in teammates]
-        if teammates:
-            return AgentModelOutput(teammates, T.select_rows(probs_rows, rows)), teammates
-        width = probs_rows.data.shape[-1]
-        return AgentModelOutput([], Tensor(np.zeros((0, width)))), []
-
-    def run_iteration(self):
+    def transition(self, trainer, value, model):
+        """Act in and step every environment. Returns the step results, the
+        action value of each learner action taken, their TD targets and the
+        summed teammate-action NLL (None for QL or when no teammate acted)."""
         cfg = self.cfg
-        epsilon = cfg.epsilon.value(self.global_step, cfg.total_steps)
-        tape = Tape()
-        vbound = self.value_params.bind(tape)
-        mbound = self.model_params.bind(tape) if self.with_model else None
-
-        model_losses = []
-        padded = []
+        epsilon = cfg.epsilon.value(trainer.global_step, cfg.total_steps)
+        rows, fits = [], []
         for slot in self.slots:
-            probs_map = None
-            if self.with_model:
-                out, teammates = self._model_probs(mbound, slot)
-                probs_map = {
-                    j: out.probs.data[i] for i, j in enumerate(out.teammate_ids)
-                } or None
-                slot.last_model_out = out
-            else:
-                slot.last_model_out = None
-            if self.with_model and probs_map is None:
-                # No teammates: QL-AM still needs the wide layout.
-                vec = self._widen(slot.obs)
-            else:
-                vec = pad_observation(slot.obs, cfg.max_team_pad, slot.slot_map, probs=probs_map)
-            padded.append(vec)
-
-        rows = Tensor(np.stack(padded))
-        h0 = np.concatenate([s.h for s in self.slots])
-        c0 = np.concatenate([s.c for s in self.slots])
-        h1, c1 = embed_rows(vbound, rows, h0, c0)
-        q_all = nn.mlp_forward(vbound, h1, prefix="head.")
+            row, probs, mates = padded_input(
+                slot.obs, slot.slot_map, self.action_count, model, slot.am_store, slot.pending_am
+            )
+            rows.append(row)
+            fits.append((probs, mates))
+        q, (h, c) = ql_baseline_forward(
+            value, np.stack(rows), stack_states([slot.state for slot in self.slots])
+        )
 
         actions = []
-        for e, slot in enumerate(self.slots):
-            q = q_all.data[e]
-            self.window_qbar_sum += float(q.mean())
-            self.window_qbar_count += 1
-            if self.learner_rng.random() < epsilon:
-                actions.append(int(self.learner_rng.integers(0, self.action_count)))
-            else:
-                best = np.flatnonzero(q == q.max())
-                actions.append(int(best[self.learner_rng.integers(0, len(best))]))
-
+        for values in q.data:
+            trainer.record_qbar(values)
+            actions.append(act(values, "QL", epsilon, self.learner_rng))
         results = [slot.session.step(a) for slot, a in zip(self.slots, actions)]
         for e, slot in enumerate(self.slots):
-            slot.h = h1.data[e : e + 1]
-            slot.c = c1.data[e : e + 1]
+            slot.state = (h.data[e : e + 1], c.data[e : e + 1])
+        targets = self._targets(trainer, results)
 
-        targets = self._target_values(results)
+        taken = T.sum_axis(q * Tensor(one_hot(actions, self.action_count)), 1)
+        nlls = []
+        for slot, res, (probs, mates) in zip(self.slots, results, fits):
+            if mates:
+                acted = [res.joint_action[slot.obs.order[r]] for r in mates]
+                nlls.append(agent_model_loss(probs, mates, acted))
+                trainer.record_nll(float(nlls[-1].data), len(mates))
+        return results, taken, targets, sum(nlls[1:], nlls[0]) if nlls else None
 
-        onehot = np.zeros((len(self.slots), self.action_count))
-        onehot[np.arange(len(self.slots)), actions] = 1.0
-        taken = T.sum_axis(q_all * Tensor(onehot), 1)
-        diff = taken - Tensor(np.array(targets))
-        v_total = T.scalar_mul(
-            T.sum_all(T.scalar_mul(diff * diff, 0.5)),
-            1.0 / (len(self.slots) * cfg.update_interval),
-        )
-        grads = backward(v_total)
-        self._accumulate(self.acc_value, vbound, grads)
-
-        if self.with_model:
-            for slot, res in zip(self.slots, results):
-                observed = {j: a for j, a in res.joint_action.items() if j != LEARNER_ID}
-                if observed and slot.last_model_out.teammate_ids:
-                    nll = agent_model_loss(slot.last_model_out, observed)
-                    model_losses.append(nll)
-                    self.window_nll_sum += float(nll.data)
-                    self.window_nll_count += len(observed)
-            if model_losses:
-                m_total = T.scalar_mul(
-                    _tensor_sum(model_losses),
-                    1.0 / (len(self.slots) * cfg.update_interval),
-                )
-                self._accumulate(self.acc_model, mbound, backward(m_total))
-
-        self.iteration += 1
-        self.global_step += len(self.slots)
-        if self.iteration % cfg.update_interval == 0:
-            if self.acc_value:
-                self.value_params, self.opt_value = nn.adam_step(
-                    self.value_params, self.acc_value, self.opt_value
-                )
-            if self.acc_model:
-                self.model_params, self.opt_model = nn.adam_step(
-                    self.model_params, self.acc_model, self.opt_model
-                )
-            self.acc_value = {}
-            self.acc_model = {}
-        self.target_params = nn.polyak_update(
-            self.target_params, self.value_params, cfg.polyak_alpha
-        )
-
-        dim = cfg.net.embedding_dim
-        for slot, res in zip(self.slots, results):
-            slot.episode_return += res.reward
-            if res.done:
-                self.window_returns.append(slot.episode_return)
-                slot.episode_return = 0.0
-                slot.obs = slot.session.reset()
-                slot.h = np.zeros((1, dim))
-                slot.c = np.zeros((1, dim))
-                slot.h_targ = np.zeros((1, dim))
-                slot.c_targ = np.zeros((1, dim))
-                slot.slot_map = SlotMap(cfg.max_team_pad - 1)
-                slot.slot_map.apply([], slot.obs.order[1:], self.slot_rng)
-                slot.am_store = EmbeddingStore(dim)
-                slot.pending_am = ([], list(slot.obs.order))
-            else:
-                slot.obs = res.obs
-                slot.pending_am = (res.departures, res.arrivals)
-
-    def _widen(self, obs) -> np.ndarray:
-        """QL-AM layout with every teammate block absent."""
-        block = self.x_len + self.action_count
-        slots = np.full((self.cfg.max_team_pad - 1) * block, -1.0)
-        return np.concatenate([obs.x[obs.learner_id], slots, obs.u])
-
-    def _target_values(self, results):
+    def _targets(self, trainer, results):
+        """Bootstrapped targets from the target network at s'."""
         cfg = self.cfg
         targets = [float(res.reward) for res in results]
         live = [e for e, res in enumerate(results) if not res.done]
         if not live:
             return targets
-        padded = []
+        rows = []
         for e in live:
             slot, res = self.slots[e], results[e]
-            # Slot assignments for arrivals are needed before padding s'.
-            trial = SlotMap(cfg.max_team_pad - 1)
-            trial.assigned = dict(slot.slot_map.assigned)
-            trial.apply(res.departures, res.arrivals, self.slot_rng)
-            slot.next_slot_map = trial
-            probs_map = None
-            if self.with_model:
-                probs_map = self._next_model_probs(slot, res)
-            if self.with_model and not probs_map:
-                padded.append(self._widen(res.obs))
-            else:
-                padded.append(
-                    pad_observation(res.obs, cfg.max_team_pad, trial, probs=probs_map)
-                )
-        rows = Tensor(np.stack(padded))
-        h0 = np.concatenate([self.slots[e].h_targ for e in live])
-        c0 = np.concatenate([self.slots[e].c_targ for e in live])
-        h1, c1 = embed_rows(self.target_params, rows, h0, c0)
-        q_next = nn.mlp_forward(self.target_params, h1, prefix="head.").data
+            # Arrivals need their slots before s' can be padded.
+            slot.slot_map.apply(res.departures, res.arrivals, self.slot_rng)
+            # s' distributions come from a copy: the next iteration's online
+            # pass advances the agent model's state itself.
+            store = EmbeddingStore(cfg.net.embedding_dim)
+            store.model = dict(slot.am_store.model)
+            row, _, _ = padded_input(
+                res.obs,
+                slot.slot_map,
+                self.action_count,
+                trainer.model_params,
+                store,
+                (res.departures, res.arrivals),
+            )
+            rows.append(row)
+        q, (h, c) = ql_baseline_forward(
+            trainer.target_params,
+            np.stack(rows),
+            stack_states([self.slots[e].target_state for e in live]),
+        )
         for i, e in enumerate(live):
-            self.slots[e].h_targ = h1.data[i : i + 1]
-            self.slots[e].c_targ = c1.data[i : i + 1]
-            targets[e] = float(results[e].reward + cfg.gamma * q_next[i].max())
-            self.slots[e].slot_map = self.slots[e].next_slot_map
+            self.slots[e].target_state = (h.data[i : i + 1], c.data[i : i + 1])
+            targets[e] = td_target(results[e].reward, q.data[i], "QL", cfg.gamma)
         return targets
 
-    def _next_model_probs(self, slot, res):
-        """Detached agent-model distributions at s' (state advanced and kept
-        by the next iteration's online pass, so compute on a copy)."""
-        store_copy = EmbeddingStore(self.cfg.net.embedding_dim)
-        store_copy.model = dict(slot.am_store.model)
-        batch, _ = preprocess(res.obs, store_copy, res.departures, res.arrivals, maps=("model",))
-        h0, c0 = store_copy.stacked("model")
-        hm, _ = embed_rows(self.model_params, batch, h0, c0)
-        order = list(res.obs.order)
-        teammates = [j for j in order if j != LEARNER_ID]
-        if not teammates:
-            return None
-        probs_rows = model_rows(self.model_params, hm, [(0, len(order))]).data
-        return {j: probs_rows[order.index(j)] for j in teammates}
-
-    def _accumulate(self, acc, bound, grads):
-        for name, leaf in bound.items():
-            g = grads.get(leaf.tid)
-            if g is None:
-                continue
-            acc[name] = acc[name] + g.data if name in acc else g.data
-
-    def window_stats(self) -> dict:
-        returns = self.window_returns
-        n = len(returns)
-        mean = float(np.mean(returns)) if n else None
-        ci = None
-        if n > 1:
-            ci = float(1.96 * np.std(returns, ddof=1) / np.sqrt(n))
-        elif n == 1:
-            ci = 0.0
-        stats = {
-            "episodes": n,
-            "mean_return": mean,
-            "ci95": ci,
-            "agent_model_nll": (
-                self.window_nll_sum / self.window_nll_count if self.window_nll_count else None
-            ),
-            "mean_qbar": (
-                self.window_qbar_sum / self.window_qbar_count if self.window_qbar_count else None
-            ),
-        }
-        self.window_returns = []
-        self.window_nll_sum = 0.0
-        self.window_nll_count = 0
-        self.window_qbar_sum = 0.0
-        self.window_qbar_count = 0
-        return stats
+    def next_obs(self, results):
+        """Move every environment on to its next observation."""
+        for slot, res in zip(self.slots, results):
+            if res.done:
+                self._start_episode(slot)
+            else:
+                slot.obs = res.obs
+                slot.pending_am = (res.departures, res.arrivals)
 
 
 class BaselinePolicy:
@@ -413,42 +261,24 @@ class BaselinePolicy:
         self.cfg = cfg
         self.value_params = value_params
         self.model_params = model_params
-        self.with_model = cfg.algorithm == "QL-AM"
         self.rng = rng
-        self.action_count = 6 if cfg.env.name == "lbf" else 5
-        dim = cfg.net.embedding_dim
-        self.dim = dim
-        self.x_len = 3 if cfg.env.name == "lbf" else 2
+        self.action_count = env_dims(cfg)[2]
 
     def reset(self, obs):
-        self.h = np.zeros((1, self.dim))
-        self.c = np.zeros((1, self.dim))
+        dim = self.cfg.net.embedding_dim
+        self.state = (np.zeros((1, dim)), np.zeros((1, dim)))
         self.slot_map = SlotMap(self.cfg.max_team_pad - 1)
         self.slot_map.apply([], [j for j in obs.order if j != obs.learner_id], self.rng)
-        self.am_store = EmbeddingStore(self.dim)
+        self.am_store = EmbeddingStore(dim)
         self.pending_am = ([], list(obs.order))
 
     def act(self, obs) -> int:
-        probs_map = None
-        if self.with_model:
-            batch, _ = preprocess(obs, self.am_store, *self.pending_am, maps=("model",))
-            h0, c0 = self.am_store.stacked("model")
-            hm, cm = embed_rows(self.model_params, batch, h0, c0)
-            self.am_store.write("model", hm.data, cm.data)
-            order = list(obs.order)
-            teammates = [j for j in order if j != obs.learner_id]
-            if teammates:
-                rows = model_rows(self.model_params, hm, [(0, len(order))]).data
-                probs_map = {j: rows[order.index(j)] for j in teammates}
-        if self.with_model and probs_map is None:
-            block = self.x_len + self.action_count
-            slots = np.full((self.cfg.max_team_pad - 1) * block, -1.0)
-            vec = np.concatenate([obs.x[obs.learner_id], slots, obs.u])
-        else:
-            vec = pad_observation(obs, self.cfg.max_team_pad, self.slot_map, probs=probs_map)
-        q, (h1, c1) = ql_baseline_forward(self.value_params, vec, (Tensor(self.h), Tensor(self.c)))
-        self.h, self.c = h1.data, c1.data
-        q = q.data
+        row, _, _ = padded_input(
+            obs, self.slot_map, self.action_count, self.model_params, self.am_store, self.pending_am
+        )
+        q, (h, c) = ql_baseline_forward(self.value_params, row, self.state)
+        self.state = (h.data, c.data)
+        q = q.data[0]
         best = np.flatnonzero(q == q.max())
         return int(best[self.rng.integers(0, len(best))])
 

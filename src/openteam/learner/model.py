@@ -18,7 +18,16 @@ import numpy as np
 
 from .. import nn
 from .. import tensor as T
+from ..envs.session import make_session
 from ..tensor import Tensor
+from .values import model_rows
+
+
+def env_dims(cfg) -> tuple[int, int, int]:
+    """(per-agent x width, shared u width, action count) of the configured
+    environment, read from a probe session."""
+    probe = make_session(cfg.env, cfg.openness_train, np.random.default_rng(0))
+    return (*probe.obs_dims, probe.action_count)
 
 
 class EmbeddingStore:
@@ -93,18 +102,24 @@ def embed_rows(params, batch, h, c, prefix="embed."):
     return nn.lstm_step(params, x, (h, c), prefix=f"{prefix}lstm.")
 
 
-def embed_types(params, batch, store: EmbeddingStore, which: str = "value"):
-    """Advance one recurrence for every agent; h' is the type embedding.
+def stack_states(states):
+    """Concatenate (h, c) pairs row-wise into one (H, C) pair."""
+    return np.concatenate([h for h, _ in states]), np.concatenate([c for _, c in states])
 
-    Returns (h', c') tensors aligned with the store's key order. The caller
-    decides when to write the advanced state back via ``store.write``.
+
+def agent_model_step(params, obs, store: EmbeddingStore, departures, arrivals):
+    """Advance the agent model's recurrence in `store` to `obs`.
+
+    Returns every agent's predicted action distribution (None when the
+    learner is alone) and the rows of the learner's teammates.
     """
-    if batch.shape[0] != len(store.map(which)):
-        raise ValueError(
-            f"batch has {batch.shape[0]} rows but store holds {len(store.map(which))} agents"
-        )
-    h, c = store.stacked(which)
-    return embed_rows(params, batch, h, c)
+    batch, _ = preprocess(obs, store, departures, arrivals, maps=("model",))
+    h0, c0 = store.stacked("model")
+    hm, cm = embed_rows(params, batch, h0, c0)
+    store.write("model", hm.data, cm.data)
+    mates = [r for r, j in enumerate(obs.order) if j != obs.learner_id]
+    probs = model_rows(params, hm, [(0, len(obs.order))]) if mates else None
+    return probs, mates
 
 
 def init_embedding(in_dim, width, rng, values, prefix="embed."):

@@ -1,12 +1,20 @@
 """Synchronous training over parallel open-team environments.
 
-Every iteration advances all environments by one step. Per-agent network
-passes (embeddings, utility heads, the message-passing model) run once over
-the rows of all environments stacked together; the cheap per-team algebra
-(joint values, marginalization, losses) runs per environment. Gradients of
-the value loss and the agent-model loss are accumulated over a configured
-number of iterations, applied with Adam, and the value-side target copy
-tracks the online parameters by Polyak averaging every step.
+`Trainer` runs every algorithm. Each iteration advances all environments by
+one step: a step object (`GplStep` here, `baseline.PaddedStep` for the
+padded-input baselines) acts, steps the environments and returns the value
+of each taken action, its TD target and the teammate-action NLL. The trainer
+turns these into losses, accumulates their gradients over a configured
+number of iterations and applies them with Adam; the value-side target copy
+tracks the online parameters by Polyak averaging every iteration. It also
+keeps the episode returns and learning signals of the metric window.
+
+For GPL the rows of all environments are stacked into one batch.
+`team_forward` runs the per-agent passes (embeddings, utility heads, the
+message-passing model) once over that batch and marginalizes each team's
+rows into its learner's action values; `GplPolicy` acts with the same
+function on one environment. Joint values and losses are batched too, with
+per-team segment sums.
 
 The target pathway keeps its own recurrent state: after each transition it
 is realigned to the new roster and advanced with the target parameters,
@@ -16,7 +24,7 @@ while the next-state teammate distributions come from the online agent model
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,22 +32,34 @@ from .. import nn
 from .. import tensor as T
 from ..config import RunConfig
 from ..envs.session import make_session
-from ..openness import LEARNER_ID
 from ..tensor import Tape, Tensor, backward
-from .model import EmbeddingStore, embed_rows, init_model_net, init_value_net, preprocess
+from .baseline import PaddedStep
+from .model import (
+    EmbeddingStore,
+    agent_model_step,
+    embed_rows,
+    env_dims,
+    init_model_net,
+    init_value_net,
+    preprocess,
+    stack_states,
+)
 from .values import (
-    PROB_FLOOR,
-    AgentModelOutput,
     UtilityTables,
     act,
     agent_model_loss,
-    marginal_q,
+    joint_values,
     marginal_values,
     model_rows,
-    spi_policy,
     td_target,
     utility_rows,
+    value_loss,
 )
+
+GPL_ALGORITHMS = ("GPL-Q", "GPL-SPI")
+# Supervised agent-model fit: peak Adam step size and targets per update.
+SUPERVISED_LR = 2e-3
+SUPERVISED_GROUP = 16
 
 
 @dataclass
@@ -63,65 +83,55 @@ class TrainResult:
     records: list
 
 
-@dataclass
-class _Slot:
-    session: object
-    store: EmbeddingStore
-    obs: object = None
-    pending_online: tuple = ((), ())
-    pending_target: tuple | None = ((), ())
-    episode_return: float = 0.0
-
-
-class _Layout:
-    """Row bookkeeping for one stacked batch over many environments."""
+class Teams:
+    """Row bookkeeping for several teams stacked into one batch."""
 
     def __init__(self, obs_list, batches):
-        self.rows = np.concatenate(batches, axis=0) if batches else np.zeros((0, 0))
-        self.groups = []
-        self.slices = []
-        self.orders = []
-        self.learner_rows = []
+        self.obs = list(obs_list)
+        self.rows = np.concatenate(batches, axis=0)
+        self.slices, self.groups, self.learner_rows = [], [], []
         start = 0
-        for obs, batch in zip(obs_list, batches):
+        for obs, batch in zip(self.obs, batches):
             n = batch.shape[0]
-            self.groups.append((start, n))
             self.slices.append((start, start + n))
-            self.orders.append(list(obs.order))
-            learner_row = start + obs.order.index(obs.learner_id)
-            self.learner_rows.extend([learner_row] * n)
+            self.groups.append((start, n))
+            self.learner_rows.extend([start + obs.order.index(obs.learner_id)] * n)
             start += n
-
-    def stack_state(self, slots, which):
-        hs, cs = [], []
-        for slot in slots:
-            h, c = slot.store.stacked(which)
-            hs.append(h)
-            cs.append(c)
-        return np.concatenate(hs, axis=0), np.concatenate(cs, axis=0)
+        self.mates = [r for r in range(start) if r != self.learner_rows[r]]
 
 
-def _env_tables(sing, fac, layout, e, learner_id, action_count, rank) -> UtilityTables:
-    lo, hi = layout.slices[e]
-    rows = list(range(lo, hi))
-    return UtilityTables(
-        learner_id,
-        layout.orders[e],
-        action_count,
-        rank,
-        T.select_rows(sing, rows),
-        T.select_rows(fac, rows),
-    )
+@dataclass
+class TeamForward:
+    hq: Tensor
+    cq: Tensor
+    hm: Tensor
+    cm: Tensor
+    singular: Tensor
+    factors: Tensor
+    probs: Tensor
+    qbars: list
 
 
-def _env_probs(all_probs, layout, e, learner_id) -> AgentModelOutput:
-    lo, hi = layout.slices[e]
-    order = layout.orders[e]
-    teammate_rows = [lo + i for i, j in enumerate(order) if j != learner_id]
-    teammates = [j for j in order if j != learner_id]
-    if not teammates:
-        return AgentModelOutput([], Tensor(np.zeros((0, all_probs.data.shape[-1]))))
-    return AgentModelOutput(teammates, T.select_rows(all_probs, teammate_rows))
+def team_forward(value_params, model_params, teams: Teams, value_state, model_state, rank):
+    """The per-team GPL forward, shared by training and acting.
+
+    Advances the value and agent-model recurrences one step from (h, c)
+    states aligned with `teams.rows`, computes every agent's utility rows
+    and predicted action distribution, and marginalizes each team's joint
+    values over its teammates' distributions into its learner's action
+    values (`qbars`, one array per team).
+    """
+    hq, cq = embed_rows(value_params, teams.rows, *value_state)
+    hm, cm = embed_rows(model_params, teams.rows, *model_state)
+    sing, fac = utility_rows(value_params, hq, teams.learner_rows)
+    probs = model_rows(model_params, hm, teams.groups)
+    qbars = []
+    for lo, hi in teams.slices:
+        learner = teams.learner_rows[lo]
+        mates = [r for r in range(lo, hi) if r != learner]
+        team = (sing.data[lo:hi], fac.data[lo:hi], probs.data[mates])
+        qbars.append(marginal_values(*team, learner - lo, rank))
+    return TeamForward(hq, cq, hm, cm, sing, fac, probs, qbars)
 
 
 def _realign_rows(old_order, h_rows, c_rows, new_order, dim):
@@ -136,63 +146,185 @@ def _realign_rows(old_order, h_rows, c_rows, new_order, dim):
     return h, c
 
 
-def _explore_param(cfg: RunConfig, global_step: int) -> float:
-    if cfg.algorithm == "GPL-SPI":
-        return cfg.tau
-    return cfg.epsilon.value(global_step, cfg.total_steps)
+@dataclass
+class _Slot:
+    session: object
+    store: EmbeddingStore
+    obs: object = None
+    pending_online: tuple = ((), ())
+    pending_target: tuple | None = ((), ())
 
 
-class CgTrainer:
-    """Trainer for the coordination-graph learner (GPL-Q / GPL-SPI)."""
+class GplStep:
+    """The coordination-graph learner's (GPL-Q / GPL-SPI) part of a
+    `Trainer` iteration."""
+
+    store_order = ("value", "agent_model", "target_value")
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.mode = "QL" if cfg.algorithm == "GPL-Q" else "SPI"
+        self.seeds = np.random.SeedSequence(cfg.seed).spawn(3 + cfg.parallel_envs)
+        self.learner_rng = np.random.default_rng(self.seeds[1])
+        self.slots = []
+        for seed in self.seeds[3:]:
+            session = make_session(cfg.env, cfg.openness_train, np.random.default_rng(seed))
+            slot = _Slot(session, EmbeddingStore(cfg.net.embedding_dim))
+            self._start_episode(slot, [])
+            self.slots.append(slot)
+
+    def init_params(self):
+        """Initial (value, agent-model) parameters."""
+        rng = np.random.default_rng(self.seeds[0])
+        x_len, u_len, action_count = env_dims(self.cfg)
+        return (
+            init_value_net(x_len + u_len, action_count, self.cfg.net, rng),
+            init_model_net(x_len + u_len, action_count, self.cfg.net, rng),
+        )
+
+    @staticmethod
+    def _start_episode(slot, departed):
+        slot.obs = slot.session.reset()
+        slot.pending_online = (departed, list(slot.obs.order))
+        slot.pending_target = (departed, list(slot.obs.order))
+
+    def transition(self, trainer, value, model):
+        """Act in and step every environment. Returns the step results, each
+        team's joint value of the actions taken, their TD targets and the
+        summed teammate-action NLL (None when no teammate acted)."""
+        cfg = self.cfg
+        if self.mode == "SPI":
+            explore = cfg.tau
+        else:
+            explore = cfg.epsilon.value(trainer.global_step, cfg.total_steps)
+        batches = []
+        for slot in self.slots:
+            batch, _ = preprocess(
+                slot.obs, slot.store, *slot.pending_online, maps=("value", "model")
+            )
+            if slot.pending_target is not None:
+                preprocess(slot.obs, slot.store, *slot.pending_target, maps=("target",))
+                slot.pending_target = None
+            batches.append(batch)
+        teams = Teams([slot.obs for slot in self.slots], batches)
+        stores = [slot.store for slot in self.slots]
+        value_state = stack_states([store.stacked("value") for store in stores])
+        model_state = stack_states([store.stacked("model") for store in stores])
+        out = team_forward(value, model, teams, value_state, model_state, cfg.net.rank)
+
+        actions = []
+        for qbar in out.qbars:
+            actions.append(act(qbar, self.mode, explore, self.learner_rng))
+            trainer.record_qbar(qbar)
+        results = [slot.session.step(a) for slot, a in zip(self.slots, actions)]
+
+        # Advance the online recurrent state (detached between iterations).
+        for (lo, hi), store in zip(teams.slices, stores):
+            store.write("value", out.hq.data[lo:hi], out.cq.data[lo:hi])
+            store.write("model", out.hm.data[lo:hi], out.cm.data[lo:hi])
+        targets = self._targets(trainer, teams, out, results)
+
+        taken = [res.joint_action[j] for obs, res in zip(teams.obs, results) for j in obs.order]
+        joint = joint_values(out.singular, out.factors, taken, teams.slices, cfg.net.rank)
+        nll = None
+        if teams.mates:
+            nll = agent_model_loss(out.probs, teams.mates, [taken[r] for r in teams.mates])
+            trainer.record_nll(float(nll.data), len(teams.mates))
+        return results, joint, targets, nll
+
+    def _targets(self, trainer, teams, out, results):
+        """Bootstrapped targets from the target-parameter pathway at s'."""
+        cfg = self.cfg
+        targets = [float(res.reward) for res in results]
+        live = [e for e, res in enumerate(results) if not res.done]
+        if not live:
+            return targets
+
+        batches, borrowed = [], []
+        for e in live:
+            store, res = self.slots[e].store, results[e]
+            batch, _ = preprocess(res.obs, store, res.departures, res.arrivals, maps=("target",))
+            batches.append(batch)
+            lo, hi = teams.slices[e]
+            borrowed.append(
+                _realign_rows(
+                    teams.obs[e].order,
+                    out.hm.data[lo:hi],
+                    out.cm.data[lo:hi],
+                    res.obs.order,
+                    cfg.net.embedding_dim,
+                )
+            )
+        ahead = Teams([results[e].obs for e in live], batches)
+        stores = [self.slots[e].store for e in live]
+        nxt = team_forward(
+            trainer.target_params,
+            trainer.model_params,
+            ahead,
+            stack_states([store.stacked("target") for store in stores]),
+            stack_states(borrowed),
+            cfg.net.rank,
+        )
+        for (lo, hi), store, e, qbar in zip(ahead.slices, stores, live, nxt.qbars):
+            store.write("target", nxt.hq.data[lo:hi], nxt.cq.data[lo:hi])
+            targets[e] = td_target(results[e].reward, qbar, self.mode, cfg.gamma, cfg.tau)
+        return targets
+
+    def next_obs(self, results):
+        """Move every environment on to its next observation."""
+        for slot, res in zip(self.slots, results):
+            if res.done:
+                self._start_episode(slot, list(res.obs.order))
+            else:
+                slot.obs = res.obs
+                slot.pending_online = (res.departures, res.arrivals)
+
+
+class Trainer:
+    """Synchronous trainer for every algorithm: GPL-Q / GPL-SPI through
+    `GplStep`, QL / QL-AM through `baseline.PaddedStep`."""
 
     def __init__(self, cfg: RunConfig):
         cfg.validate()
-        if cfg.algorithm not in ("GPL-Q", "GPL-SPI"):
-            raise ValueError(f"CgTrainer cannot run {cfg.algorithm!r}")
         self.cfg = cfg
-        self.mode = "QL" if cfg.algorithm == "GPL-Q" else "SPI"
-        seeds = np.random.SeedSequence(cfg.seed).spawn(3 + cfg.parallel_envs)
-        init_rng = np.random.default_rng(seeds[0])
-        self.learner_rng = np.random.default_rng(seeds[1])
-
-        probe = make_session(cfg.env, cfg.openness_train, np.random.default_rng(0))
-        x_len, u_len = probe.obs_dims
-        self.in_dim = x_len + u_len
-        self.action_count = probe.action_count
-
-        self.value_params = init_value_net(self.in_dim, self.action_count, cfg.net, init_rng)
-        self.model_params = init_model_net(self.in_dim, self.action_count, cfg.net, init_rng)
+        self.step = GplStep(cfg) if cfg.algorithm in GPL_ALGORITHMS else PaddedStep(cfg)
+        self.value_params, self.model_params = self.step.init_params()
         self.target_params = self.value_params.replace({})
         self.opt_value = nn.AdamState(lr=cfg.lr)
         self.opt_model = nn.AdamState(lr=cfg.lr)
         self.acc_value: dict[str, np.ndarray] = {}
         self.acc_model: dict[str, np.ndarray] = {}
-
-        self.slots = []
-        for i in range(cfg.parallel_envs):
-            session = make_session(cfg.env, cfg.openness_train, np.random.default_rng(seeds[3 + i]))
-            slot = _Slot(session, EmbeddingStore(cfg.net.embedding_dim))
-            slot.obs = session.reset()
-            slot.pending_online = ([], list(slot.obs.order))
-            slot.pending_target = ([], list(slot.obs.order))
-            self.slots.append(slot)
-
         self.global_step = 0
         self.iteration = 0
+        self.episode_returns = [0.0] * cfg.parallel_envs
+        self._clear_window()
+
+    def stores(self) -> dict:
+        # The step fixes the order, and with it the checkpoint byte layout.
+        named = {
+            "value": self.value_params,
+            "agent_model": self.model_params,
+            "target_value": self.target_params,
+        }
+        return {name: named[name] for name in self.step.store_order if named[name] is not None}
+
+    def _clear_window(self):
         self.window_returns: list[float] = []
         self.window_nll_sum = 0.0
         self.window_nll_count = 0
         self.window_qbar_sum = 0.0
         self.window_qbar_count = 0
 
-    def stores(self) -> dict:
-        return {
-            "value": self.value_params,
-            "agent_model": self.model_params,
-            "target_value": self.target_params,
-        }
+    def record_qbar(self, qbar):
+        self.window_qbar_sum += float(qbar.mean())
+        self.window_qbar_count += 1
+
+    def record_nll(self, total: float, count: int):
+        self.window_nll_sum += total
+        self.window_nll_count += count
 
     def window_stats(self) -> dict:
+        """Learning signals since the previous call, which resets them."""
         returns = self.window_returns
         n = len(returns)
         mean = float(np.mean(returns)) if n else None
@@ -212,75 +344,25 @@ class CgTrainer:
                 self.window_qbar_sum / self.window_qbar_count if self.window_qbar_count else None
             ),
         }
-        self.window_returns = []
-        self.window_nll_sum = 0.0
-        self.window_nll_count = 0
-        self.window_qbar_sum = 0.0
-        self.window_qbar_count = 0
+        self._clear_window()
         return stats
 
     def run_iteration(self):
         """One synchronous step across every environment."""
         cfg = self.cfg
-        explore = _explore_param(cfg, self.global_step)
         tape = Tape()
-        vparams = self.value_params.bind(tape)
-        mparams = self.model_params.bind(tape)
+        value = self.value_params.bind(tape)
+        model = self.model_params.bind(tape) if self.model_params is not None else None
+        results, taken, targets, nll = self.step.transition(self, value, model)
 
-        batches = []
-        for slot in self.slots:
-            dep, arr = slot.pending_online
-            batch, _ = preprocess(slot.obs, slot.store, dep, arr, maps=("value", "model"))
-            if slot.pending_target is not None:
-                preprocess(slot.obs, slot.store, *slot.pending_target, maps=("target",))
-                slot.pending_target = None
-            batches.append(batch)
-        layout = _Layout([s.obs for s in self.slots], batches)
-
-        hq0, cq0 = layout.stack_state(self.slots, "value")
-        hm0, cm0 = layout.stack_state(self.slots, "model")
-        hq, cq = embed_rows(vparams, layout.rows, hq0, cq0)
-        hm, cm = embed_rows(mparams, layout.rows, hm0, cm0)
-        sing, fac = utility_rows(vparams, hq, layout.learner_rows)
-        all_probs = model_rows(mparams, hm, layout.groups)
-
-        # Action selection from the marginalized values (no gradient needed).
-        actions = []
-        sing_data, fac_data, probs_data = sing.data, fac.data, all_probs.data
-        for e in range(len(self.slots)):
-            lo, hi = layout.slices[e]
-            learner_local = layout.learner_rows[lo] - lo
-            team_rows = [r for r in range(lo, hi) if r != layout.learner_rows[lo]]
-            qbar = marginal_values(
-                sing_data[lo:hi],
-                fac_data[lo:hi],
-                probs_data[team_rows],
-                learner_local,
-                cfg.net.rank,
-            )
-            actions.append(act(qbar, self.mode, explore, self.learner_rng))
-            self.window_qbar_sum += float(qbar.mean())
-            self.window_qbar_count += 1
-
-        results = [slot.session.step(a) for slot, a in zip(self.slots, actions)]
-
-        # Advance online recurrent state (detached between iterations).
-        for e, slot in enumerate(self.slots):
-            lo, hi = layout.slices[e]
-            slot.store.write("value", hq.data[lo:hi], cq.data[lo:hi])
-            slot.store.write("model", hm.data[lo:hi], cm.data[lo:hi])
-
-        targets = self._target_values(layout, results, (hm.data, cm.data))
-
-        scale = 1.0 / (len(self.slots) * cfg.update_interval)
-        v_total = self._batched_value_loss(layout, sing, fac, results, targets, scale)
-        self._accumulate(self.acc_value, vparams, backward(v_total))
-        m_total = self._batched_model_loss(layout, all_probs, results, scale)
-        if m_total is not None:
-            self._accumulate(self.acc_model, mparams, backward(m_total))
+        scale = 1.0 / (len(results) * cfg.update_interval)
+        v_loss = T.scalar_mul(value_loss(taken, targets), scale)
+        self._accumulate(self.acc_value, value, backward(v_loss))
+        if nll is not None:
+            self._accumulate(self.acc_model, model, backward(T.scalar_mul(nll, scale)))
 
         self.iteration += 1
-        self.global_step += len(self.slots)
+        self.global_step += len(results)
         if self.iteration % cfg.update_interval == 0:
             if self.acc_value:
                 self.value_params, self.opt_value = nn.adam_step(
@@ -296,159 +378,25 @@ class CgTrainer:
             self.target_params, self.value_params, cfg.polyak_alpha
         )
 
-        for slot, res in zip(self.slots, results):
-            slot.episode_return += res.reward
+        for e, res in enumerate(results):
+            self.episode_returns[e] += res.reward
             if res.done:
-                self.window_returns.append(slot.episode_return)
-                slot.episode_return = 0.0
-                old_order = list(res.obs.order)
-                slot.obs = slot.session.reset()
-                slot.pending_online = (old_order, list(slot.obs.order))
-                slot.pending_target = (old_order, list(slot.obs.order))
-            else:
-                slot.obs = res.obs
-                slot.pending_online = (res.departures, res.arrivals)
+                self.window_returns.append(self.episode_returns[e])
+                self.episode_returns[e] = 0.0
+        self.step.next_obs(results)
 
-    def _batched_value_loss(self, layout, sing, fac, results, targets, scale):
-        """Mean half-squared TD error over all environments, built from the
-        stacked utility rows with per-environment segment sums."""
-        cfg = self.cfg
-        n_rows = layout.rows.shape[0]
-        actions = np.empty(n_rows, dtype=np.intp)
-        for e, res in enumerate(results):
-            lo, _ = layout.slices[e]
-            for i, agent_id in enumerate(layout.orders[e]):
-                actions[lo + i] = res.joint_action[agent_id]
-        onehot = np.zeros((n_rows, self.action_count))
-        onehot[np.arange(n_rows), actions] = 1.0
-        rank = cfg.net.rank
-
-        rep = np.repeat(onehot, rank, axis=0)
-        fac2 = T.reshape(fac, (n_rows * rank, self.action_count))
-        g = T.reshape(T.sum_axis(fac2 * Tensor(rep), 1), (n_rows, rank))
-        env_segments = [(lo, hi) for lo, hi in layout.slices]
-        g_env = T.segment_sum(g, env_segments)  # (P, rank)
-        pair = T.sum_axis(g_env * g_env, 1) - T.reshape(
-            T.segment_sum(T.reshape(T.sum_axis(g * g, 1), (n_rows, 1)), env_segments),
-            (len(results),),
-        )
-        singles_rows = T.reshape(T.sum_axis(sing * Tensor(onehot), 1), (n_rows, 1))
-        singles = T.reshape(T.segment_sum(singles_rows, env_segments), (len(results),))
-        joint = singles + pair
-        diff = joint - Tensor(np.asarray(targets))
-        return T.scalar_mul(T.sum_all(diff * diff), 0.5 * scale)
-
-    def _batched_model_loss(self, layout, all_probs, results, scale):
-        """Summed teammate-action NLL over all environments (None if no
-        teammate acted anywhere this step)."""
-        rows, actions = [], []
-        for e, res in enumerate(results):
-            lo, _ = layout.slices[e]
-            for i, agent_id in enumerate(layout.orders[e]):
-                if agent_id != LEARNER_ID:
-                    rows.append(lo + i)
-                    actions.append(res.joint_action[agent_id])
-        if not rows:
-            return None
-        onehot = np.zeros((len(rows), self.action_count))
-        onehot[np.arange(len(rows)), actions] = 1.0
-        p = T.sum_axis(T.select_rows(all_probs, rows) * Tensor(onehot), 1)
-        floored = T.relu(p - Tensor(PROB_FLOOR)) + Tensor(PROB_FLOOR)
-        nll = T.scalar_mul(T.sum_all(T.log(floored)), -1.0)
-        self.window_nll_sum += float(nll.data)
-        self.window_nll_count += len(rows)
-        return T.scalar_mul(nll, scale)
-
-    def _target_values(self, layout, results, model_state):
-        """Bootstrapped targets from the target-parameter pathway at s'."""
-        cfg = self.cfg
-        hm_rows, cm_rows = model_state
-        live = [e for e, res in enumerate(results) if not res.done]
-        targets = [float(res.reward) for res in results]
-        if not live:
-            return targets
-
-        next_batches = []
-        borrowed_h, borrowed_c = [], []
-        for e in live:
-            slot, res = self.slots[e], results[e]
-            batch, _ = preprocess(
-                res.obs, slot.store, res.departures, res.arrivals, maps=("target",)
-            )
-            next_batches.append(batch)
-            lo, hi = layout.slices[e]
-            h, c = _realign_rows(
-                layout.orders[e],
-                hm_rows[lo:hi],
-                cm_rows[lo:hi],
-                res.obs.order,
-                cfg.net.embedding_dim,
-            )
-            borrowed_h.append(h)
-            borrowed_c.append(c)
-
-        next_layout = _Layout([results[e].obs for e in live], next_batches)
-        ht0 = np.concatenate([self.slots[e].store.stacked("target")[0] for e in live])
-        ct0 = np.concatenate([self.slots[e].store.stacked("target")[1] for e in live])
-        ht, ct = embed_rows(self.target_params, next_layout.rows, ht0, ct0)
-        for i, e in enumerate(live):
-            lo, hi = next_layout.slices[i]
-            self.slots[e].store.write("target", ht.data[lo:hi], ct.data[lo:hi])
-
-        sing_t, fac_t = utility_rows(self.target_params, ht, next_layout.learner_rows)
-        hm_next, _ = embed_rows(
-            self.model_params,
-            next_layout.rows,
-            np.concatenate(borrowed_h),
-            np.concatenate(borrowed_c),
-        )
-        probs_next = model_rows(self.model_params, hm_next, next_layout.groups)
-
-        sing_d, fac_d, probs_d = sing_t.data, fac_t.data, probs_next.data
-        for i, e in enumerate(live):
-            lo, hi = next_layout.slices[i]
-            learner_row = next_layout.learner_rows[lo]
-            team_rows = [r for r in range(lo, hi) if r != learner_row]
-            qbar = marginal_values(
-                sing_d[lo:hi],
-                fac_d[lo:hi],
-                probs_d[team_rows],
-                learner_row - lo,
-                cfg.net.rank,
-            )
-            targets[e] = td_target(
-                results[e].reward, qbar, self.mode, cfg.gamma, cfg.tau, terminal=False
-            )
-        return targets
-
-    def _accumulate(self, acc, bound, grads):
+    @staticmethod
+    def _accumulate(acc, bound, grads):
         for name, leaf in bound.items():
             g = grads.get(leaf.tid)
-            if g is None:
-                continue
-            if name in acc:
-                acc[name] = acc[name] + g.data
-            else:
-                acc[name] = g.data
-
-
-def _tensor_sum(tensors):
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = total + t
-    return total
+            if g is not None:
+                acc[name] = acc[name] + g.data if name in acc else g.data
 
 
 def train(cfg: RunConfig, on_record=None) -> TrainResult:
     """Run the configured algorithm; emits a record at every checkpoint
     boundary (starting with global step 0) through `on_record`."""
-    if cfg.algorithm in ("GPL-Q", "GPL-SPI"):
-        trainer = CgTrainer(cfg)
-    else:
-        from .baseline import PaddedQTrainer
-
-        trainer = PaddedQTrainer(cfg)
-
+    trainer = Trainer(cfg)
     records = []
 
     def emit():
@@ -471,12 +419,11 @@ def train(cfg: RunConfig, on_record=None) -> TrainResult:
 class GplPolicy:
     """Single-environment acting for evaluation and analysis."""
 
-    def __init__(self, cfg: RunConfig, value_params, model_params, rng, sample_spi=None):
+    def __init__(self, cfg: RunConfig, value_params, model_params, rng):
         self.cfg = cfg
         self.value_params = value_params
         self.model_params = model_params
         self.rng = rng
-        self.sample_spi = cfg.algorithm == "GPL-SPI" if sample_spi is None else sample_spi
         self.store = EmbeddingStore(cfg.net.embedding_dim)
         self.last_tables = None
         self.last_qbar = None
@@ -486,37 +433,25 @@ class GplPolicy:
         self.pending = ([], list(obs.order))
 
     def act(self, obs) -> int:
-        dep, arr = self.pending
-        batch, _ = preprocess(obs, self.store, dep, arr, maps=("value", "model"))
-        hq0, cq0 = self.store.stacked("value")
-        hm0, cm0 = self.store.stacked("model")
-        hq, cq = embed_rows(self.value_params, batch, hq0, cq0)
-        hm, cm = embed_rows(self.model_params, batch, hm0, cm0)
-        learner_rows = [obs.order.index(obs.learner_id)] * len(obs.order)
-        sing, fac = utility_rows(self.value_params, hq, learner_rows)
-        tables = UtilityTables(
-            obs.learner_id,
-            list(obs.order),
-            sing.data.shape[-1],
-            self.cfg.net.rank,
-            sing,
-            fac,
+        batch, _ = preprocess(obs, self.store, *self.pending, maps=("value", "model"))
+        rank = self.cfg.net.rank
+        out = team_forward(
+            self.value_params,
+            self.model_params,
+            Teams([obs], [batch]),
+            self.store.stacked("value"),
+            self.store.stacked("model"),
+            rank,
         )
-        probs_rows = model_rows(self.model_params, hm, [(0, len(obs.order))])
-        teammates = [j for j in obs.order if j != obs.learner_id]
-        if teammates:
-            rows = [obs.order.index(j) for j in teammates]
-            probs = AgentModelOutput(teammates, T.select_rows(probs_rows, rows))
-        else:
-            probs = AgentModelOutput([], Tensor(np.zeros((0, probs_rows.data.shape[-1]))))
-        qbar = marginal_q(tables, probs, obs.learner_id).data
-        self.store.write("value", hq.data, cq.data)
-        self.store.write("model", hm.data, cm.data)
-        self.last_tables = tables
+        self.store.write("value", out.hq.data, out.cq.data)
+        self.store.write("model", out.hm.data, out.cm.data)
+        qbar = out.qbars[0]
+        self.last_tables = UtilityTables(
+            obs.learner_id, list(obs.order), len(qbar), rank, out.singular, out.factors
+        )
         self.last_qbar = qbar
-        if self.sample_spi:
-            p = spi_policy(Tensor(qbar), self.cfg.tau).data
-            return int(self.rng.choice(len(qbar), p=p))
+        if self.cfg.algorithm == "GPL-SPI":
+            return act(qbar, "SPI", self.cfg.tau, self.rng)
         best = np.flatnonzero(qbar == qbar.max())
         return int(best[self.rng.integers(0, len(best))])
 
@@ -563,25 +498,15 @@ def collect_transitions(cfg: RunConfig, steps: int, seed: int) -> list:
 def heldout_nll(model_params, cfg: RunConfig, episodes) -> float:
     """Mean per-action negative log likelihood over stored episodes."""
     total, count = 0.0, 0
-    dim = cfg.net.embedding_dim
     for episode in episodes:
-        store = EmbeddingStore(dim)
+        store = EmbeddingStore(cfg.net.embedding_dim)
         pending = ([], list(episode[0].roster_ids))
         for rec in episode:
-            batch, _ = preprocess(rec.obs, store, *pending, maps=("model",))
-            h0, c0 = store.stacked("model")
-            hm, cm = embed_rows(model_params, batch, h0, c0)
-            store.write("model", hm.data, cm.data)
-            observed = {
-                j: a for j, a in rec.joint_action.items() if j != rec.obs.learner_id
-            }
-            if observed:
-                probs_rows = model_rows(model_params, hm, [(0, len(rec.roster_ids))])
-                teammates = [j for j in rec.roster_ids if j != rec.obs.learner_id]
-                rows = [rec.roster_ids.index(j) for j in teammates]
-                out = AgentModelOutput(teammates, T.select_rows(probs_rows, rows))
-                total += float(agent_model_loss(out, observed).data)
-                count += len(observed)
+            probs, mates = agent_model_step(model_params, rec.obs, store, *pending)
+            if mates:
+                actions = [rec.joint_action[rec.roster_ids[r]] for r in mates]
+                total += float(agent_model_loss(probs, mates, actions).data)
+                count += len(mates)
             pending = (rec.departures, rec.arrivals)
             if rec.done:
                 break
@@ -643,68 +568,54 @@ def window_loss(params, steps, targets, window: int, dim: int) -> Tensor:
         _, _, rows, acted = steps[e][t]
         picked_rows.extend(start + r for r in rows)
         actions.extend(acted)
-    onehot = np.zeros((len(picked_rows), probs.data.shape[-1]))
-    onehot[np.arange(len(picked_rows)), actions] = 1.0
-    p = T.sum_axis(T.select_rows(probs, picked_rows) * Tensor(onehot), 1)
-    floored = T.relu(p - Tensor(PROB_FLOOR)) + Tensor(PROB_FLOOR)
-    return T.scalar_mul(T.sum_all(T.log(floored)), -1.0 / len(picked_rows))
+    nll = agent_model_loss(probs, picked_rows, actions)
+    return T.scalar_mul(nll, 1.0 / len(picked_rows))
 
 
 def train_agent_model_supervised(
-    cfg: RunConfig,
-    episodes,
-    seed: int,
-    epochs: int = 2,
-    window: int = 4,
-    lr: float = 2e-3,
-    group_size: int = 16,
-    progress=None,
+    cfg: RunConfig, episodes, seed: int, epochs: int = 2, window: int = 4
 ):
     """Supervised training of the agent model on stored transitions.
 
     Every step at which a teammate acts is one target. An epoch visits each
-    target once, in an order shuffled across all episodes, `group_size`
-    targets per Adam step. A target's teammate actions are predicted from the
-    recurrent state unrolled over the `window` steps that end at it, and the
-    loss is backpropagated through that whole window (see `window_loss`).
-    The state entering a window is zeros, so a prediction sees at most
-    `window` steps of history here, while `heldout_nll` and `GplPolicy`
-    carry the state over the whole episode. Targets are shuffled rather than
-    replayed episode by episode because consecutive steps of one episode
-    barely differ: batches of consecutive steps give updates that nearly
-    repeat each other.
+    target once, in an order shuffled across all episodes,
+    `SUPERVISED_GROUP` targets per Adam step. A target's teammate actions are
+    predicted from the recurrent state unrolled over the `window` steps that
+    end at it, and the loss is backpropagated through that whole window (see
+    `window_loss`). The state entering a window is zeros, so a prediction
+    sees at most `window` steps of history here, while `heldout_nll` and
+    `GplPolicy` carry the state over the whole episode. Targets are shuffled
+    rather than replayed episode by episode because consecutive steps of one
+    episode barely differ: batches of consecutive steps give updates that
+    nearly repeat each other.
 
-    The step size ramps up linearly over the first 5% of updates to `lr`,
-    then falls along a half cosine to zero at the end of the last epoch.
-    `lr` is the fit's own peak rate, not `cfg.lr`: the TD learner's 2.5e-4
-    leaves one epoch far short of what the shuffled windows allow. Parameters
-    start from `init_model_net` seeded with `seed`; the shuffle draws from a
-    separate stream spawned from the same seed. `progress(epoch, params)` is
-    called after each epoch when given (e.g. for early stopping by returning
-    True).
+    The step size ramps up linearly over the first 5% of updates to
+    `SUPERVISED_LR`, then falls along a half cosine to zero at the end of
+    the last epoch. That peak is the fit's own, not `cfg.lr`: the TD
+    learner's 2.5e-4 leaves one epoch far short of what the shuffled windows
+    allow. Parameters start from `init_model_net` seeded with `seed`; the
+    shuffle draws from a separate stream spawned from the same seed.
     """
     init_rng = np.random.default_rng(np.random.SeedSequence(seed))
     order_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    probe = make_session(cfg.env, cfg.openness_train, np.random.default_rng(0))
-    x_len, u_len = probe.obs_dims
-    params = init_model_net(x_len + u_len, probe.action_count, cfg.net, init_rng)
-    opt = nn.AdamState(lr=lr)
+    x_len, u_len, action_count = env_dims(cfg)
+    params = init_model_net(x_len + u_len, action_count, cfg.net, init_rng)
+    opt = nn.AdamState(lr=SUPERVISED_LR)
 
     steps = supervised_steps(episodes)
     targets = [(e, t) for e, ep in enumerate(steps) for t, (_, _, rows, _) in enumerate(ep) if rows]
-    total = epochs * -(-len(targets) // group_size)
+    total = epochs * -(-len(targets) // SUPERVISED_GROUP)
     warmup = max(1, total // 20)
     update = 0
-    for epoch in range(epochs):
+    for _ in range(epochs):
         order = order_rng.permutation(len(targets))
-        for lo in range(0, len(order), group_size):
-            batch = [targets[i] for i in order[lo : lo + group_size]]
+        for lo in range(0, len(order), SUPERVISED_GROUP):
+            batch = [targets[i] for i in order[lo : lo + SUPERVISED_GROUP]]
             bound = params.bind(Tape())
             grads = backward(window_loss(bound, steps, batch, window, cfg.net.embedding_dim))
             named = {name: grads[leaf.tid].data for name, leaf in bound.items() if leaf.tid in grads}
-            opt.lr = lr * min(1.0, (update + 1) / warmup) * 0.5 * (1.0 + np.cos(np.pi * update / total))
+            ramp = min(1.0, (update + 1) / warmup)
+            opt.lr = SUPERVISED_LR * ramp * 0.5 * (1.0 + np.cos(np.pi * update / total))
             params, opt = nn.adam_step(params, named, opt)
             update += 1
-        if progress is not None and progress(epoch, params):
-            break
     return params

@@ -86,54 +86,40 @@ def utility_rows(params, embeddings: Tensor, learner_rows):
     return singular, factors
 
 
-def compute_utilities(params, embeddings, learner_id) -> UtilityTables:
-    """Utility tables for one team. `embeddings` is (agent ids, h rows)."""
-    ids, rows = embeddings
-    if learner_id not in ids:
-        raise ValueError(f"learner {learner_id} missing from embeddings")
-    learner_row = ids.index(learner_id)
-    singular, factors = utility_rows(params, rows, [learner_row] * len(ids))
-    action_count = singular.data.shape[-1]
-    rank = factors.data.shape[-1] // action_count
-    return UtilityTables(learner_id, list(ids), action_count, rank, singular, factors)
-
-
 def model_rows(params, embeddings: Tensor, groups) -> Tensor:
     """Action logits-softmax rows for every agent of every group."""
     nbar = nn.graph_block_grouped(params, embeddings, groups, prefix="graph.")
     return T.softmax(nn.mlp_forward(params, nbar, prefix="dec."))
 
 
-def teammate_probs(params, embeddings, learner_id) -> AgentModelOutput:
-    """Per-teammate action distributions from the message-passing model.
-
-    The learner participates as a graph node but gets no distribution.
-    """
-    ids, rows = embeddings
-    if len(ids) == 0:
-        raise ValueError("need at least one agent")
-    all_probs = model_rows(params, rows, [(0, len(ids))])
-    teammate_ids = [j for j in ids if j != learner_id]
-    if not teammate_ids:
-        return AgentModelOutput([], Tensor(np.zeros((0, all_probs.data.shape[-1]))))
-    picked = T.select_rows(all_probs, [ids.index(j) for j in teammate_ids])
-    return AgentModelOutput(teammate_ids, picked)
-
-
-def _one_hot(indices, width):
+def one_hot(indices, width):
     out = np.zeros((len(indices), width))
     out[np.arange(len(indices)), indices] = 1.0
     return out
 
 
-def _chosen_factors(tables: UtilityTables, rows, actions):
-    """g_r = F_r[:, a_r] for the given table rows, as an (m, K) tensor."""
-    m = len(rows)
-    fac = T.select_rows(tables.factor_rows, rows)
-    fac = T.reshape(fac, (m * tables.rank, tables.action_count))
-    onehot = np.repeat(_one_hot(actions, tables.action_count), tables.rank, axis=0)
-    g = T.sum_axis(fac * Tensor(onehot), 1)
-    return T.reshape(g, (m, tables.rank))
+def joint_values(singular: Tensor, factors: Tensor, actions, segments, rank: int) -> Tensor:
+    """Coordination-graph value of one joint action per team.
+
+    `singular` (n, |A|) and `factors` (n, K*|A|) stack the utility rows of
+    several teams; `segments` holds each team's (start, stop) rows and
+    `actions[r]` is row r's action. Returns one value per team:
+    sum_j S_j(a_j) + sum_{j != k} g_j . g_k with g_j = F_j[:, a_j].
+    """
+    n_rows = len(actions)
+    onehot = one_hot(actions, singular.data.shape[-1])
+    rep = np.repeat(onehot, rank, axis=0)
+    fac2 = T.reshape(factors, (n_rows * rank, onehot.shape[1]))
+    g = T.reshape(T.sum_axis(fac2 * Tensor(rep), 1), (n_rows, rank))
+    g_team = T.segment_sum(g, segments)  # (teams, rank)
+    # Ordered pairs within a team: |sum g|^2 - sum |g|^2.
+    pair = T.sum_axis(g_team * g_team, 1) - T.reshape(
+        T.segment_sum(T.reshape(T.sum_axis(g * g, 1), (n_rows, 1)), segments),
+        (len(segments),),
+    )
+    singles_rows = T.reshape(T.sum_axis(singular * Tensor(onehot), 1), (n_rows, 1))
+    singles = T.reshape(T.segment_sum(singles_rows, segments), (len(segments),))
+    return singles + pair
 
 
 def joint_q(tables: UtilityTables, joint_action: dict) -> Tensor:
@@ -142,13 +128,10 @@ def joint_q(tables: UtilityTables, joint_action: dict) -> Tensor:
     if missing:
         raise ValueError(f"joint action missing agents {missing}")
     actions = [int(joint_action[j]) for j in tables.agent_ids]
-    onehot = Tensor(_one_hot(actions, tables.action_count))
-    singles = T.sum_all(tables.singular_rows * onehot)
-    g = _chosen_factors(tables, list(range(len(tables.agent_ids))), actions)
-    total = T.sum_axis(g, 0)
-    # sum over ordered pairs j != k of g_j . g_k
-    pairs = T.sum_all(total * total) - T.sum_all(g * g)
-    return singles + pairs
+    value = joint_values(
+        tables.singular_rows, tables.factor_rows, actions, [(0, len(actions))], tables.rank
+    )
+    return T.reshape(value, ())
 
 
 def _expected_factors(tables: UtilityTables, rows, probs: Tensor):
@@ -162,7 +145,8 @@ def _expected_factors(tables: UtilityTables, rows, probs: Tensor):
 
 
 def marginal_q(tables: UtilityTables, model_out: AgentModelOutput, learner_id) -> Tensor:
-    """Learner action values: expectation of joint_q under the agent model."""
+    """Learner action values: expectation of joint_q under the agent model
+    (tensor reference for `marginal_values`)."""
     own = tables.singular(learner_id)
     teammate_ids = [j for j in tables.agent_ids if j != learner_id]
     missing = [j for j in teammate_ids if j not in model_out.teammate_ids]
@@ -188,7 +172,10 @@ def marginal_q(tables: UtilityTables, model_out: AgentModelOutput, learner_id) -
 
 
 def marginal_values(sing, fac, probs, learner_row: int, rank: int) -> np.ndarray:
-    """Gradient-free marginal_q over raw arrays (same math, one team).
+    """Learner action values of one team over raw arrays, without gradients.
+
+    This is the marginalization training and acting use; `marginal_q` is
+    the same math on tensors, kept as the reference that tests compare with.
 
     `sing` (n, |A|) and `fac` (n, K*|A|) are the utility rows in roster
     order; `probs` (n-1, |A|) holds the teammate distributions in the same
@@ -230,28 +217,21 @@ def td_target(reward, next_qbar, mode, gamma, tau=None, terminal=False) -> float
     return float(reward + gamma * float(p @ q))
 
 
-def value_loss(joint, y) -> Tensor:
-    """Half squared TD error; the target is a constant."""
-    d = joint - Tensor(float(y))
-    return T.scalar_mul(d * d, 0.5)
+def value_loss(joint, targets) -> Tensor:
+    """Half the summed squared TD error; the targets are constants."""
+    diff = joint - Tensor(np.asarray(targets, dtype=np.float64))
+    return T.scalar_mul(T.sum_all(diff * diff), 0.5)
 
 
-def agent_model_loss(model_out: AgentModelOutput, observed: dict) -> Tensor:
-    """Negative log likelihood of the observed teammate actions.
+def agent_model_loss(probs: Tensor, rows, actions) -> Tensor:
+    """Summed negative log likelihood of `actions[i]` under row `rows[i]` of
+    the action distributions `probs`.
 
     Probabilities are floored at 1e-12 (with a diagnostic) so a dead softmax
     unit cannot produce an infinite loss.
     """
-    missing = [j for j in observed if j not in model_out.teammate_ids]
-    if missing:
-        raise ValueError(f"no predicted distribution for acting agents {missing}")
-    if not observed:
-        return Tensor(0.0)
-    ids = [j for j in model_out.teammate_ids if j in observed]
-    rows = [model_out.teammate_ids.index(j) for j in ids]
-    actions = [int(observed[j]) for j in ids]
-    picked = T.select_rows(model_out.probs, rows)
-    p = T.sum_axis(picked * Tensor(_one_hot(actions, model_out.probs.data.shape[-1])), 1)
+    onehot = one_hot(actions, probs.data.shape[-1])
+    p = T.sum_axis(T.select_rows(probs, rows) * Tensor(onehot), 1)
     if float(p.data.min()) < PROB_FLOOR:
         log.warning("agent-model probability below floor; clamping at %g", PROB_FLOOR)
     floored = T.relu(p - Tensor(PROB_FLOOR)) + Tensor(PROB_FLOOR)

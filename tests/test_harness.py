@@ -35,8 +35,9 @@ SMALL_NET = NetConfig(
 )
 
 
-def tiny_cfg(algorithm="GPL-Q", **kw):
-    cfg = default_config("wolfpack", algorithm)
+def tiny_cfg(algorithm="GPL-Q", env="wolfpack", **kw):
+    cfg = default_config(env, algorithm)
+    pool = ("wolf.H1", "wolf.H2") if env == "wolfpack" else ("lbf.H3", "lbf.H6")
     cfg = replace(
         cfg,
         env=replace(cfg.env, horizon=20),
@@ -44,8 +45,8 @@ def tiny_cfg(algorithm="GPL-Q", **kw):
         total_steps=24,
         checkpoint_interval=12,
         net=SMALL_NET,
-        openness_train=OpennessConfig((5, 8), (2, 4), 3, ("wolf.H1", "wolf.H2")),
-        openness_eval=OpennessConfig((5, 8), (2, 4), 5, ("wolf.H1", "wolf.H2")),
+        openness_train=OpennessConfig((5, 8), (2, 4), 3, pool),
+        openness_eval=OpennessConfig((5, 8), (2, 4), 5, pool),
     )
     return replace(cfg, **kw).validate()
 
@@ -200,11 +201,12 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("algorithm", ["QL", "QL-AM"])
     def test_baseline_checkpoints_evaluate(self, tmp_path, algorithm):
-        cfg = tiny_cfg(algorithm)
-        out = run_training(cfg, tmp_path / "run")
-        ckpt = os.path.join(out, "ckpt_000000024.otck")
-        record = evaluate(ckpt, cfg, episodes=2, seed=3, team_limit=5)
-        assert record.episodes == 2 and np.isfinite(record.mean_return)
+        for env in ("wolfpack", "lbf"):
+            cfg = tiny_cfg(algorithm, env)
+            out = run_training(cfg, tmp_path / env)
+            ckpt = os.path.join(out, "ckpt_000000024.otck")
+            record = evaluate(ckpt, cfg, episodes=2, seed=3, team_limit=5)
+            assert record.episodes == 2 and np.isfinite(record.mean_return), env
 
     def test_zero_episodes_rejected(self, tmp_path):
         cfg = tiny_cfg()

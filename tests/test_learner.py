@@ -8,8 +8,8 @@ from openteam.config import NetConfig
 from openteam.envs.base import EnvConfig, Observation
 from openteam.learner.model import (
     EmbeddingStore,
+    agent_model_step,
     embed_rows,
-    embed_types,
     init_model_net,
     init_value_net,
     preprocess,
@@ -19,14 +19,12 @@ from openteam.learner.values import (
     UtilityTables,
     act,
     agent_model_loss,
-    compute_utilities,
     joint_q,
     marginal_q,
     marginal_values,
     model_rows,
     spi_policy,
     td_target,
-    teammate_probs,
     utility_rows,
     value_loss,
 )
@@ -61,6 +59,13 @@ def random_tables(rng, ids, actions=4, rank=3):
         Tensor(rng.normal(size=(len(ids), actions))),
         Tensor(rng.normal(size=(len(ids), rank * actions))),
     )
+
+
+def team_tables(params, h, learner_row=0):
+    """Utility tables of one team whose embeddings are the rows of `h`."""
+    n = h.data.shape[0]
+    sing, fac = utility_rows(params, h, [learner_row] * n)
+    return UtilityTables(learner_row, list(range(n)), sing.data.shape[-1], NET.rank, sing, fac)
 
 
 def random_probs(rng, teammate_ids, actions=4):
@@ -139,7 +144,7 @@ class TestEmbedTypes:
         store = EmbeddingStore(4)
         obs = obs_for([0, 1])
         batch, _ = preprocess(obs, store, [], [0, 1])
-        h, c = embed_types(params, batch, store)
+        h, c = embed_rows(params, batch, *store.stacked("value"))
         assert np.all(h.data == 0) and np.all(c.data == 0)
 
     def test_identical_inputs_identical_embeddings(self):
@@ -161,15 +166,6 @@ class TestEmbedTypes:
             assert np.allclose(h.data[row], hr.data[0], atol=1e-12)
             assert np.allclose(c.data[row], cr.data[0], atol=1e-12)
 
-    def test_misaligned_batch_rejected(self):
-        rng = np.random.default_rng(3)
-        params = init_value_net(6, 4, NET, rng)
-        store = EmbeddingStore(NET.embedding_dim)
-        obs = obs_for([0, 1])
-        batch, _ = preprocess(obs, store, [], [0, 1])
-        with pytest.raises(ValueError):
-            embed_types(params, batch[:1], store)
-
 
 class TestComputeUtilities:
     def test_zero_factor_head_means_zero_pairwise(self):
@@ -182,7 +178,7 @@ class TestComputeUtilities:
             }
         )
         h = Tensor(rng.normal(size=(3, NET.embedding_dim)))
-        tables = compute_utilities(zeroed, ([0, 1, 2], h), 0)
+        tables = team_tables(zeroed, h)
         assert np.all(tables.pairwise(0, 1).data == 0)
 
     def test_rank_one_is_outer_product(self):
@@ -210,7 +206,7 @@ class TestComputeUtilities:
         rng = np.random.default_rng(7)
         params = init_value_net(6, 4, NET, rng)
         h = Tensor(rng.normal(size=(2, NET.embedding_dim)))
-        tables = compute_utilities(params, ([0, 1], h), 0)
+        tables = team_tables(params, h)
         pair = T.concat_last([h, T.select_rows(h, [0, 0])])
         direct = nn.mlp_forward(params, pair, prefix="sing.")
         assert np.allclose(tables.singular_rows.data, direct.data, atol=1e-15)
@@ -257,22 +253,22 @@ class TestTeammateProbs:
             }
         )
         h = Tensor(rng.normal(size=(3, NET.embedding_dim)))
-        out = teammate_probs(zeroed, ([0, 1, 2], h), 0)
-        assert np.allclose(out.probs.data, 0.25, atol=1e-12)
+        probs = model_rows(zeroed, h, [(0, 3)])
+        assert np.allclose(probs.data[1:], 0.25, atol=1e-12)
 
     def test_no_teammates_empty_output(self):
         rng = np.random.default_rng(11)
         params = init_model_net(6, 4, NET, rng)
-        out = teammate_probs(params, ([0], Tensor(rng.normal(size=(1, NET.embedding_dim)))), 0)
-        assert out.teammate_ids == [] and out.probs.data.shape == (0, 4)
+        store = EmbeddingStore(NET.embedding_dim)
+        probs, mates = agent_model_step(params, obs_for([0]), store, [], [0])
+        assert mates == [] and probs is None
 
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             params = init_model_net(6, 4, NET, rng)
             h = Tensor(rng.normal(size=(4, NET.embedding_dim)) * 10)
-            out = teammate_probs(params, ([0, 1, 2, 3], h), 0)
-            p = out.probs.data
+            p = model_rows(params, h, [(0, 4)]).data[1:]
             assert np.all(p >= 0)
             assert np.all(np.abs(p.sum(axis=-1) - 1) <= 1e-9)
 
@@ -280,10 +276,9 @@ class TestTeammateProbs:
         rng = np.random.default_rng(13)
         params = init_model_net(6, 4, NET, rng)
         h = Tensor(rng.normal(size=(3, NET.embedding_dim)))
-        out = teammate_probs(params, ([0, 1, 2], h), 0)
-        observed = {1: 2, 2: 0}
-        product = out.probs.data[0, 2] * out.probs.data[1, 0]
-        loss = agent_model_loss(out, observed)
+        probs = model_rows(params, h, [(0, 3)])
+        product = probs.data[1, 2] * probs.data[2, 0]
+        loss = agent_model_loss(probs, [1, 2], [2, 0])
         assert np.isclose(np.exp(-loss.data), product, atol=1e-12)
 
 
@@ -389,10 +384,10 @@ class TestMarginalQ:
             store.model[j] = (rng.normal(size=NET.embedding_dim), rng.normal(size=NET.embedding_dim))
 
         def qbar():
-            h, _ = embed_types(params_v, batch, store, "value")
-            hm, _ = embed_types(params_m, batch, store, "model")
-            tables = compute_utilities(params_v, (obs.order, h), 0)
-            probs = teammate_probs(params_m, (obs.order, hm), 0)
+            h, _ = embed_rows(params_v, batch, *store.stacked("value"))
+            hm, _ = embed_rows(params_m, batch, *store.stacked("model"))
+            tables = team_tables(params_v, h)
+            probs = AgentModelOutput([1, 2], T.select_rows(model_rows(params_m, hm, [(0, 3)]), [1, 2]))
             return marginal_q(tables, probs, 0).data
 
         before = qbar()
@@ -449,16 +444,14 @@ class TestPoliciesAndTargets:
         probs = np.zeros((2, 5))
         probs[0, 1] = 1.0
         probs[1, 3] = 1.0
-        out = AgentModelOutput([1, 2], Tensor(probs))
-        assert agent_model_loss(out, {1: 1, 2: 3}).data == 0.0
-        uniform = AgentModelOutput([1, 2], Tensor(np.full((2, 5), 0.2)))
-        assert np.isclose(agent_model_loss(uniform, {1: 0, 2: 4}).data, 2 * np.log(5), atol=1e-12)
+        assert agent_model_loss(Tensor(probs), [0, 1], [1, 3]).data == 0.0
+        uniform = Tensor(np.full((2, 5), 0.2))
+        assert np.isclose(agent_model_loss(uniform, [0, 1], [0, 4]).data, 2 * np.log(5), atol=1e-12)
 
     def test_agent_model_loss_floors_zero_probability(self):
         probs = np.zeros((1, 4))
         probs[0, 0] = 1.0
-        out = AgentModelOutput([1], Tensor(probs))
-        loss = agent_model_loss(out, {1: 3}).data  # observed an impossible action
+        loss = agent_model_loss(Tensor(probs), [0], [3]).data  # observed an impossible action
         assert np.isfinite(loss)
         assert loss == pytest.approx(-np.log(1e-12))
 
@@ -508,10 +501,9 @@ class TestGradientIsolation:
         sing, fac = utility_rows(bound_v, hq, [0, 0, 0])
         tables = UtilityTables(0, [0, 1, 2], 4, NET.rank, sing, fac)
         probs_rows = model_rows(bound_m, hm, [(0, 3)])
-        out = AgentModelOutput([1, 2], T.select_rows(probs_rows, [1, 2]))
 
         v_loss = value_loss(joint_q(tables, {0: 1, 1: 0, 2: 3}), 0.7)
-        m_loss = agent_model_loss(out, {1: 0, 2: 3})
+        m_loss = agent_model_loss(probs_rows, [1, 2], [0, 3])
         v_grads = backward(v_loss)
         m_grads = backward(m_loss)
         for name, leaf in bound_m.items():

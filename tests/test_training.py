@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -8,7 +10,6 @@ from openteam import tensor as T
 from openteam.config import EpsilonSchedule, NetConfig, default_config
 from openteam.envs.base import Observation
 from openteam.learner.baseline import (
-    PaddedQTrainer,
     SlotMap,
     init_baseline_net,
     pad_observation,
@@ -17,7 +18,8 @@ from openteam.learner.baseline import (
 from openteam.envs.session import make_session
 from openteam.learner.model import init_model_net
 from openteam.learner.trainer import (
-    CgTrainer,
+    GplPolicy,
+    Trainer,
     collect_transitions,
     supervised_steps,
     train,
@@ -66,7 +68,7 @@ class TestTrainLoop:
 
     def test_zero_learning_rate_freezes_parameters(self):
         cfg = tiny_cfg(lr=1e-30)  # effectively zero; config requires positive
-        trainer = CgTrainer(cfg)
+        trainer = Trainer(cfg)
         before = {n: trainer.value_params[n].data.copy() for n in trainer.value_params.names()}
         for _ in range(8):
             trainer.run_iteration()
@@ -89,7 +91,7 @@ class TestTrainLoop:
 
     def test_target_store_tracks_value_store(self):
         cfg = tiny_cfg(total_steps=40, checkpoint_interval=40)
-        trainer = CgTrainer(cfg)
+        trainer = Trainer(cfg)
         for _ in range(10):
             trainer.run_iteration()
         # Polyak mixing keeps the target close to (but behind) the online net.
@@ -101,13 +103,39 @@ class TestTrainLoop:
 
     def test_window_stats_reset_after_read(self):
         cfg = tiny_cfg(total_steps=80)
-        trainer = CgTrainer(cfg)
+        trainer = Trainer(cfg)
         for _ in range(30):  # horizon 25, so every env finishes an episode
             trainer.run_iteration()
         first = trainer.window_stats()
         assert first["episodes"] > 0
         second = trainer.window_stats()
         assert second["episodes"] == 0 and second["mean_return"] is None
+
+
+class TestSharedForward:
+    def test_trainer_and_policy_give_the_same_action_values(self):
+        # The trainer's stacked forward over all environments and
+        # GplPolicy.act on one environment are the same function; only the
+        # batch differs, which may move BLAS results in the last bits.
+        cfg = tiny_cfg(parallel_envs=3)
+        trainer = Trainer(cfg)
+        for _ in range(27):  # two steps into the second episodes (horizon 25)
+            trainer.run_iteration()
+        teams = []
+        for slot in trainer.step.slots:
+            rng = np.random.default_rng(0)
+            policy = GplPolicy(cfg, trainer.value_params, trainer.model_params, rng)
+            policy.store = copy.deepcopy(slot.store)
+            policy.pending = slot.pending_online
+            teams.append((policy, slot.obs))
+        assert any(len(obs.order) > 1 for _, obs in teams)
+        stacked = []
+        trainer.record_qbar = stacked.append
+        trainer.run_iteration()
+        assert len(stacked) == len(teams)
+        for (policy, obs), qbar in zip(teams, stacked):
+            policy.act(obs)
+            assert np.max(np.abs(policy.last_qbar - qbar)) <= 1e-10
 
 
 class TestCollectTransitions:
@@ -223,7 +251,7 @@ class TestPadObservation:
         slot_map.apply([], [3], rng)
         obs = self.obs([0, 3])
         probs = {3: np.array([0.25, 0.25, 0.25, 0.25, 0.0])}
-        vec = pad_observation(obs, 3, slot_map, probs=probs)
+        vec = pad_observation(obs, 3, slot_map, probs=probs, width=5)
         assert len(vec) == 2 + 2 * (2 + 5) + 4
         s = slot_map.assigned[3]
         block = vec[2 + 7 * s : 2 + 7 * s + 7]
