@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -98,10 +99,7 @@ def evaluate(
     stores, manifest = load_checkpoint(checkpoint_path)
     openness = cfg.openness_eval
     if team_limit is not None:
-        from dataclasses import replace
-
         openness = replace(openness, team_limit=team_limit)
-    eval_cfg = cfg
     _check_compatible(cfg, stores)
 
     seeds = np.random.SeedSequence(seed).spawn(2)
@@ -109,14 +107,11 @@ def evaluate(
     policy_rng = np.random.default_rng(seeds[1])
     session = make_session(cfg.env, openness, env_rng)
     if cfg.algorithm in GPL_ALGORITHMS:
-        policy = GplPolicy(eval_cfg, stores["value"], stores["agent_model"], policy_rng)
+        policy = GplPolicy(cfg, stores["value"], stores["agent_model"], policy_rng)
     else:
-        policy = BaselinePolicy(
-            eval_cfg, stores["value"], stores.get("agent_model"), policy_rng
-        )
+        policy = BaselinePolicy(cfg, stores["value"], stores.get("agent_model"), policy_rng)
 
     returns = []
-    nll = None
     for _ in range(episodes):
         obs = session.reset()
         policy.reset(obs)
@@ -138,7 +133,7 @@ def evaluate(
         episodes=len(returns),
         mean_return=mean,
         ci95=ci,
-        agent_model_nll=nll,
+        agent_model_nll=None,
         mean_qbar=None,
     )
 
@@ -147,8 +142,6 @@ def random_policy_record(cfg: RunConfig, episodes: int, seed: int, team_limit=No
     """Uniform-random learner baseline under the same evaluation process."""
     openness = cfg.openness_eval
     if team_limit is not None:
-        from dataclasses import replace
-
         openness = replace(openness, team_limit=team_limit)
     seeds = np.random.SeedSequence(seed).spawn(2)
     session = make_session(cfg.env, openness, np.random.default_rng(seeds[0]))

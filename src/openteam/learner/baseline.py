@@ -6,6 +6,13 @@ arrives and held until it leaves; empty slots are filled with -1. The
 QL-AM variant appends the agent model's predicted action distribution to
 each teammate block (also -1 when absent). A recurrent embedding followed by
 a value head maps the vector to learner action values.
+
+Training (all environments stacked) and acting (one environment) share one
+padded forward, `padded_inputs` then `ql_baseline_forward`. QL-AM runs its
+agent model once over the stacked rosters of every environment on each
+pathway: online from the stored states, and for the target network's s'
+inputs from the online states realigned to the s' rosters, leaving the
+stores untouched.
 """
 
 from __future__ import annotations
@@ -21,11 +28,14 @@ from ..envs.session import make_session
 from ..tensor import Tensor
 from .model import (
     EmbeddingStore,
-    agent_model_step,
+    Teams,
+    _realign_rows,
+    agent_model_forward,
     embed_rows,
     env_dims,
     init_embedding,
     init_model_net,
+    preprocess,
     stack_states,
 )
 from .values import act, agent_model_loss, one_hot, td_target
@@ -88,21 +98,49 @@ def padded_input_len(cfg: RunConfig) -> int:
     return x_len + (cfg.max_team_pad - 1) * block + u_len
 
 
-def padded_input(obs, slot_map: SlotMap, action_count: int, model_params, store, pending):
-    """The padded input row for `obs`, plus the agent model's output.
+def padded_rows(obs_list, slot_maps, width, teams=None, probs=None) -> np.ndarray:
+    """One padded input row per observation, stacked.
 
-    Without `model_params` (QL) the row is `pad_observation`'s. With them
-    (QL-AM) the agent model's recurrence in `store` advances to `obs` from
-    the `pending` (departures, arrivals), and every teammate block also
-    carries that teammate's predicted action distribution. Returns (row,
-    every agent's distributions or None, teammate rows).
+    With the agent model's `teams` batch and its distributions `probs`
+    (QL-AM), every teammate block also carries that teammate's predicted
+    action distribution of length `width`.
     """
-    max_agents = slot_map.n_slots + 1
+    rows = []
+    for e, (obs, slot_map) in enumerate(zip(obs_list, slot_maps)):
+        dists = None
+        if teams is not None:
+            lo, hi = teams.slices[e]
+            learner = teams.learner_rows[lo]
+            dists = {obs.order[r - lo]: probs.data[r] for r in range(lo, hi) if r != learner}
+        rows.append(pad_observation(obs, slot_map.n_slots + 1, slot_map, dists, width))
+    return np.stack(rows)
+
+
+def padded_inputs(model_params, slots, width):
+    """Padded input rows of every slot at its current observation.
+
+    Without `model_params` (QL) these are `padded_rows` alone. With them
+    (QL-AM) every slot's agent-model recurrence first advances to its
+    observation from its pending (departures, arrivals), in one forward over
+    all slots, and the new states are written back. Returns (rows, agent
+    model pass): the pass is (Teams, h', c', distributions), None for QL.
+    """
+    obs_list = [slot.obs for slot in slots]
+    slot_maps = [slot.slot_map for slot in slots]
     if model_params is None:
-        return pad_observation(obs, max_agents, slot_map), None, []
-    probs, mates = agent_model_step(model_params, obs, store, *pending)
-    dists = {obs.order[r]: probs.data[r] for r in mates}
-    return pad_observation(obs, max_agents, slot_map, dists, action_count), probs, mates
+        return padded_rows(obs_list, slot_maps, width), None
+    stores = [slot.am_store for slot in slots]
+    batches = [
+        preprocess(slot.obs, slot.am_store, *slot.pending_am, maps=("model",))[0]
+        for slot in slots
+    ]
+    teams = Teams(obs_list, batches)
+    state = stack_states([store.stacked("model") for store in stores])
+    hm, cm, probs = agent_model_forward(model_params, teams, state)
+    for (lo, hi), store in zip(teams.slices, stores):
+        store.write("model", hm.data[lo:hi], cm.data[lo:hi])
+    rows = padded_rows(obs_list, slot_maps, width, teams, probs)
+    return rows, (teams, hm, cm, probs)
 
 
 def init_baseline_net(input_len, action_count, net_cfg, rng) -> nn.ParamStore:
@@ -128,7 +166,7 @@ def ql_baseline_forward(params, padded, state):
 
 @dataclass
 class _Slot:
-    session: object
+    session: object  # None when acting
     obs: object = None
     slot_map: SlotMap = None
     state: tuple = None  # (h, c) of the online value recurrence
@@ -136,10 +174,21 @@ class _Slot:
     am_store: EmbeddingStore = None
     pending_am: tuple = ((), ())
 
+    def start(self, obs, cfg: RunConfig, rng):
+        """Fresh episode state at the episode's first observation `obs`."""
+        dim = cfg.net.embedding_dim
+        self.obs = obs
+        self.state = self.target_state = (np.zeros((1, dim)), np.zeros((1, dim)))
+        self.slot_map = SlotMap(cfg.max_team_pad - 1)
+        self.slot_map.apply([], [j for j in obs.order if j != obs.learner_id], rng)
+        self.am_store = EmbeddingStore(dim)
+        self.pending_am = ([], list(obs.order))
+
 
 class PaddedStep:
     """The padded-input baselines' (QL / QL-AM) part of a `Trainer`
-    iteration."""
+    iteration: one stacked forward over all environments per network and
+    pathway (see the module docstring)."""
 
     store_order = ("value", "target_value", "agent_model")
 
@@ -153,7 +202,7 @@ class PaddedStep:
         self.slots = []
         for seed in self.seeds[4:]:
             slot = _Slot(make_session(cfg.env, cfg.openness_train, np.random.default_rng(seed)))
-            self._start_episode(slot)
+            slot.start(slot.session.reset(), cfg, self.slot_rng)
             self.slots.append(slot)
 
     def init_params(self):
@@ -165,31 +214,14 @@ class PaddedStep:
             return value, None
         return value, init_model_net(x_len + u_len, action_count, self.cfg.net, rng)
 
-    def _start_episode(self, slot):
-        dim = self.cfg.net.embedding_dim
-        slot.obs = slot.session.reset()
-        slot.state = slot.target_state = (np.zeros((1, dim)), np.zeros((1, dim)))
-        slot.slot_map = SlotMap(self.cfg.max_team_pad - 1)
-        slot.slot_map.apply([], slot.obs.order[1:], self.slot_rng)
-        slot.am_store = EmbeddingStore(dim)
-        slot.pending_am = ([], list(slot.obs.order))
-
     def transition(self, trainer, value, model):
         """Act in and step every environment. Returns the step results, the
         action value of each learner action taken, their TD targets and the
         summed teammate-action NLL (None for QL or when no teammate acted)."""
         cfg = self.cfg
         epsilon = cfg.epsilon.value(trainer.global_step, cfg.total_steps)
-        rows, fits = [], []
-        for slot in self.slots:
-            row, probs, mates = padded_input(
-                slot.obs, slot.slot_map, self.action_count, model, slot.am_store, slot.pending_am
-            )
-            rows.append(row)
-            fits.append((probs, mates))
-        q, (h, c) = ql_baseline_forward(
-            value, np.stack(rows), stack_states([slot.state for slot in self.slots])
-        )
+        rows, am = padded_inputs(model, self.slots, self.action_count)
+        q, (h, c) = ql_baseline_forward(value, rows, stack_states([s.state for s in self.slots]))
 
         actions = []
         for values in q.data:
@@ -198,45 +230,42 @@ class PaddedStep:
         results = [slot.session.step(a) for slot, a in zip(self.slots, actions)]
         for e, slot in enumerate(self.slots):
             slot.state = (h.data[e : e + 1], c.data[e : e + 1])
-        targets = self._targets(trainer, results)
+        targets = self._targets(trainer, results, am)
 
         taken = T.sum_axis(q * Tensor(one_hot(actions, self.action_count)), 1)
-        nlls = []
-        for slot, res, (probs, mates) in zip(self.slots, results, fits):
-            if mates:
-                acted = [res.joint_action[slot.obs.order[r]] for r in mates]
-                nlls.append(agent_model_loss(probs, mates, acted))
-                trainer.record_nll(float(nlls[-1].data), len(mates))
-        return results, taken, targets, sum(nlls[1:], nlls[0]) if nlls else None
+        nll = None
+        if am is not None and am[0].mates:
+            teams, _, _, probs = am
+            acted = [res.joint_action[j] for obs, res in zip(teams.obs, results) for j in obs.order]
+            nll = agent_model_loss(probs, teams.mates, [acted[r] for r in teams.mates])
+            trainer.record_nll(float(nll.data), len(teams.mates))
+        return results, taken, targets, nll
 
-    def _targets(self, trainer, results):
+    def _targets(self, trainer, results, am):
         """Bootstrapped targets from the target network at s'."""
         cfg = self.cfg
         targets = [float(res.reward) for res in results]
         live = [e for e, res in enumerate(results) if not res.done]
         if not live:
             return targets
-        rows = []
         for e in live:
-            slot, res = self.slots[e], results[e]
             # Arrivals need their slots before s' can be padded.
-            slot.slot_map.apply(res.departures, res.arrivals, self.slot_rng)
-            # s' distributions come from a copy: the next iteration's online
-            # pass advances the agent model's state itself.
-            store = EmbeddingStore(cfg.net.embedding_dim)
-            store.model = dict(slot.am_store.model)
-            row, _, _ = padded_input(
-                res.obs,
-                slot.slot_map,
-                self.action_count,
-                trainer.model_params,
-                store,
-                (res.departures, res.arrivals),
-            )
-            rows.append(row)
+            self.slots[e].slot_map.apply(results[e].departures, results[e].arrivals, self.slot_rng)
+        obs_list = [results[e].obs for e in live]
+        slot_maps = [self.slots[e].slot_map for e in live]
+        if am is None:
+            rows = padded_rows(obs_list, slot_maps, self.action_count)
+        else:
+            # The s' distributions start from the online states realigned to
+            # the s' rosters; the next online pass advances the stores itself.
+            teams, hm, cm, _ = am
+            state = _realign_rows(teams, hm.data, cm.data, live, obs_list)
+            ahead = Teams(obs_list, [obs.batch_rows() for obs in obs_list])
+            _, _, probs = agent_model_forward(trainer.model_params, ahead, state)
+            rows = padded_rows(obs_list, slot_maps, self.action_count, ahead, probs)
         q, (h, c) = ql_baseline_forward(
             trainer.target_params,
-            np.stack(rows),
+            rows,
             stack_states([self.slots[e].target_state for e in live]),
         )
         for i, e in enumerate(live):
@@ -248,14 +277,15 @@ class PaddedStep:
         """Move every environment on to its next observation."""
         for slot, res in zip(self.slots, results):
             if res.done:
-                self._start_episode(slot)
+                slot.start(slot.session.reset(), self.cfg, self.slot_rng)
             else:
                 slot.obs = res.obs
                 slot.pending_am = (res.departures, res.arrivals)
 
 
 class BaselinePolicy:
-    """Greedy acting for a trained padded-input baseline."""
+    """Greedy acting for a trained padded-input baseline, through the same
+    padded forward as training on a single environment."""
 
     def __init__(self, cfg: RunConfig, value_params, model_params, rng):
         self.cfg = cfg
@@ -265,19 +295,14 @@ class BaselinePolicy:
         self.action_count = env_dims(cfg)[2]
 
     def reset(self, obs):
-        dim = self.cfg.net.embedding_dim
-        self.state = (np.zeros((1, dim)), np.zeros((1, dim)))
-        self.slot_map = SlotMap(self.cfg.max_team_pad - 1)
-        self.slot_map.apply([], [j for j in obs.order if j != obs.learner_id], self.rng)
-        self.am_store = EmbeddingStore(dim)
-        self.pending_am = ([], list(obs.order))
+        self.slot = _Slot(None)
+        self.slot.start(obs, self.cfg, self.rng)
 
     def act(self, obs) -> int:
-        row, _, _ = padded_input(
-            obs, self.slot_map, self.action_count, self.model_params, self.am_store, self.pending_am
-        )
-        q, (h, c) = ql_baseline_forward(self.value_params, row, self.state)
-        self.state = (h.data, c.data)
+        self.slot.obs = obs
+        rows, _ = padded_inputs(self.model_params, [self.slot], self.action_count)
+        q, (h, c) = ql_baseline_forward(self.value_params, rows, self.slot.state)
+        self.slot.state = (h.data, c.data)
         q = q.data[0]
         best = np.flatnonzero(q == q.max())
         return int(best[self.rng.integers(0, len(best))])
@@ -285,5 +310,5 @@ class BaselinePolicy:
     def observe(self, result):
         if result.done:
             return
-        self.slot_map.apply(result.departures, result.arrivals, self.rng)
-        self.pending_am = (result.departures, result.arrivals)
+        self.slot.slot_map.apply(result.departures, result.arrivals, self.rng)
+        self.slot.pending_am = (result.departures, result.arrivals)

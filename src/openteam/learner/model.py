@@ -44,9 +44,6 @@ class EmbeddingStore:
     def map(self, which: str) -> dict:
         return getattr(self, which)
 
-    def ids(self):
-        return list(self.value)
-
     def stacked(self, which: str):
         """(H, C) arrays in key order; (0, dim) when empty."""
         entries = list(self.map(which).values())
@@ -107,6 +104,49 @@ def stack_states(states):
     return np.concatenate([h for h, _ in states]), np.concatenate([c for _, c in states])
 
 
+class Teams:
+    """Row bookkeeping for several teams stacked into one batch."""
+
+    def __init__(self, obs_list, batches):
+        self.obs = list(obs_list)
+        self.rows = np.concatenate(batches, axis=0)
+        self.slices, self.groups, self.learner_rows = [], [], []
+        start = 0
+        for obs, batch in zip(self.obs, batches):
+            n = batch.shape[0]
+            self.slices.append((start, start + n))
+            self.groups.append((start, n))
+            self.learner_rows.extend([start + obs.order.index(obs.learner_id)] * n)
+            start += n
+        self.mates = [r for r in range(start) if r != self.learner_rows[r]]
+
+
+def _realign_rows(teams: Teams, h, c, envs, next_obs):
+    """(H, C) of the teams `envs` of `teams` realigned to their rosters in
+    `next_obs`, from `h`, `c` aligned with `teams.rows`: rows of departed
+    agents are dropped and arriving agents get zero rows."""
+    picked = []
+    for e, obs in zip(envs, next_obs):
+        lo = teams.slices[e][0]
+        index = {agent_id: lo + r for r, agent_id in enumerate(teams.obs[e].order)}
+        picked.extend(index.get(agent_id, -1) for agent_id in obs.order)
+    picked = np.array(picked)
+    kept = (picked >= 0)[:, None]
+    return np.where(kept, h[picked], 0.0), np.where(kept, c[picked], 0.0)
+
+
+def agent_model_forward(params, teams: Teams, state):
+    """One agent-model step over every team of `teams` at once.
+
+    Advances the recurrence from the (h, c) rows `state`, aligned with
+    `teams.rows`. Returns (h', c', every agent's predicted action
+    distribution); the distributions are None when no team has a teammate.
+    """
+    hm, cm = embed_rows(params, teams.rows, *state)
+    probs = model_rows(params, hm, teams.groups) if teams.mates else None
+    return hm, cm, probs
+
+
 def agent_model_step(params, obs, store: EmbeddingStore, departures, arrivals):
     """Advance the agent model's recurrence in `store` to `obs`.
 
@@ -114,12 +154,10 @@ def agent_model_step(params, obs, store: EmbeddingStore, departures, arrivals):
     learner is alone) and the rows of the learner's teammates.
     """
     batch, _ = preprocess(obs, store, departures, arrivals, maps=("model",))
-    h0, c0 = store.stacked("model")
-    hm, cm = embed_rows(params, batch, h0, c0)
+    teams = Teams([obs], [batch])
+    hm, cm, probs = agent_model_forward(params, teams, store.stacked("model"))
     store.write("model", hm.data, cm.data)
-    mates = [r for r, j in enumerate(obs.order) if j != obs.learner_id]
-    probs = model_rows(params, hm, [(0, len(obs.order))]) if mates else None
-    return probs, mates
+    return probs, teams.mates
 
 
 def init_embedding(in_dim, width, rng, values, prefix="embed."):

@@ -36,6 +36,8 @@ from ..tensor import Tape, Tensor, backward
 from .baseline import PaddedStep
 from .model import (
     EmbeddingStore,
+    Teams,
+    _realign_rows,
     agent_model_step,
     embed_rows,
     env_dims,
@@ -83,23 +85,6 @@ class TrainResult:
     records: list
 
 
-class Teams:
-    """Row bookkeeping for several teams stacked into one batch."""
-
-    def __init__(self, obs_list, batches):
-        self.obs = list(obs_list)
-        self.rows = np.concatenate(batches, axis=0)
-        self.slices, self.groups, self.learner_rows = [], [], []
-        start = 0
-        for obs, batch in zip(self.obs, batches):
-            n = batch.shape[0]
-            self.slices.append((start, start + n))
-            self.groups.append((start, n))
-            self.learner_rows.extend([start + obs.order.index(obs.learner_id)] * n)
-            start += n
-        self.mates = [r for r in range(start) if r != self.learner_rows[r]]
-
-
 @dataclass
 class TeamForward:
     hq: Tensor
@@ -132,18 +117,6 @@ def team_forward(value_params, model_params, teams: Teams, value_state, model_st
         team = (sing.data[lo:hi], fac.data[lo:hi], probs.data[mates])
         qbars.append(marginal_values(*team, learner - lo, rank))
     return TeamForward(hq, cq, hm, cm, sing, fac, probs, qbars)
-
-
-def _realign_rows(old_order, h_rows, c_rows, new_order, dim):
-    """Drop departed rows, zero rows for arrivals; align to `new_order`."""
-    index = {a: r for r, a in enumerate(old_order)}
-    h = np.zeros((len(new_order), dim))
-    c = np.zeros((len(new_order), dim))
-    for r, agent_id in enumerate(new_order):
-        if agent_id in index:
-            h[r] = h_rows[index[agent_id]]
-            c[r] = c_rows[index[agent_id]]
-    return h, c
 
 
 @dataclass
@@ -240,21 +213,11 @@ class GplStep:
         if not live:
             return targets
 
-        batches, borrowed = [], []
+        batches = []
         for e in live:
             store, res = self.slots[e].store, results[e]
             batch, _ = preprocess(res.obs, store, res.departures, res.arrivals, maps=("target",))
             batches.append(batch)
-            lo, hi = teams.slices[e]
-            borrowed.append(
-                _realign_rows(
-                    teams.obs[e].order,
-                    out.hm.data[lo:hi],
-                    out.cm.data[lo:hi],
-                    res.obs.order,
-                    cfg.net.embedding_dim,
-                )
-            )
         ahead = Teams([results[e].obs for e in live], batches)
         stores = [self.slots[e].store for e in live]
         nxt = team_forward(
@@ -262,7 +225,7 @@ class GplStep:
             trainer.model_params,
             ahead,
             stack_states([store.stacked("target") for store in stores]),
-            stack_states(borrowed),
+            _realign_rows(teams, out.hm.data, out.cm.data, live, ahead.obs),
             cfg.net.rank,
         )
         for (lo, hi), store, e, qbar in zip(ahead.slices, stores, live, nxt.qbars):
@@ -456,10 +419,8 @@ class GplPolicy:
         return int(best[self.rng.integers(0, len(best))])
 
     def observe(self, result):
-        if result.done:
-            self.pending = (list(result.obs.order), list(result.obs.order))
-        else:
-            self.pending = (result.departures, result.arrivals)
+        # After the last step of an episode `reset` replaces this.
+        self.pending = (result.departures, result.arrivals)
 
 
 def collect_transitions(cfg: RunConfig, steps: int, seed: int) -> list:

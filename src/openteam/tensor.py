@@ -76,11 +76,6 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def const(x) -> Tensor:
-    """A tensor not attached to any tape."""
-    return _wrap(x)
-
-
 class Tape:
     """Ordered record of operations for one execution stream.
 
@@ -537,10 +532,6 @@ def sum_axis(a, axis):
     return forward_op("sum-axis", [a], axis=axis)
 
 
-def mean_axis(a, axis):
-    return forward_op("mean-axis", [a], axis=axis)
-
-
 def transpose(a):
     return forward_op("transpose-2d", [a])
 
@@ -569,20 +560,12 @@ def leaky_relu(a):
     return forward_op("leaky-relu", [a])
 
 
-def exp(a):
-    return forward_op("exp", [a])
-
-
 def log(a):
     return forward_op("log", [a])
 
 
 def softmax(a):
     return forward_op("softmax-last-axis", [a])
-
-
-def max_last(a):
-    return forward_op("max-last-axis", [a])
 
 
 def reshape(a, shape):

@@ -9,14 +9,17 @@ from openteam import nn
 from openteam import tensor as T
 from openteam.config import EpsilonSchedule, NetConfig, default_config
 from openteam.envs.base import Observation
+from openteam.learner import baseline
 from openteam.learner.baseline import (
+    BaselinePolicy,
     SlotMap,
     init_baseline_net,
     pad_observation,
     ql_baseline_forward,
 )
 from openteam.envs.session import make_session
-from openteam.learner.model import init_model_net
+from openteam.learner.model import agent_model_forward, agent_model_step, init_model_net
+from openteam.learner.values import agent_model_loss
 from openteam.learner.trainer import (
     GplPolicy,
     Trainer,
@@ -136,6 +139,124 @@ class TestSharedForward:
         for (policy, obs), qbar in zip(teams, stacked):
             policy.act(obs)
             assert np.max(np.abs(policy.last_qbar - qbar)) <= 1e-10
+
+    def test_qlam_trainer_and_policy_give_the_same_action_values(self, monkeypatch):
+        # The QL-AM trainer's online pass over all environments and
+        # BaselinePolicy.act on one environment run the same padded forward.
+        cfg = tiny_cfg("QL-AM", parallel_envs=3)
+        trainer = Trainer(cfg)
+        for _ in range(27):  # two steps into the second episodes (horizon 25)
+            trainer.run_iteration()
+        teams = []
+        for slot in trainer.step.slots:
+            rng = np.random.default_rng(0)
+            policy = BaselinePolicy(cfg, trainer.value_params, trainer.model_params, rng)
+            policy.slot = replace(
+                slot,
+                session=None,
+                slot_map=copy.deepcopy(slot.slot_map),
+                am_store=copy.deepcopy(slot.am_store),
+            )
+            teams.append((policy, slot.obs))
+        assert any(len(obs.order) > 1 for _, obs in teams)
+        stacked = []
+        trainer.record_qbar = stacked.append
+        trainer.run_iteration()
+        assert len(stacked) == len(teams)
+
+        acted = []
+        forward = baseline.ql_baseline_forward
+
+        def recording(*args):
+            acted.append(forward(*args)[0].data[0])
+            return forward(*args)
+
+        monkeypatch.setattr(baseline, "ql_baseline_forward", recording)
+        for (policy, obs), q in zip(teams, stacked):
+            policy.act(obs)
+            assert np.max(np.abs(acted[-1] - q)) <= 1e-10
+
+
+class TestBatchedAgentModel:
+    def test_stacked_forward_matches_per_env_oracle(self, monkeypatch):
+        # QL-AM runs its agent model once over all environments on each
+        # pathway; env by env, `agent_model_step` on copies of the stores is
+        # the oracle for both.
+        pool = ("wolf.H1", "wolf.H2")
+        cfg = tiny_cfg(
+            "QL-AM",
+            parallel_envs=4,
+            seed=1,
+            openness_train=OpennessConfig((2, 5), (2, 4), 3, pool),
+        )
+        trainer = Trainer(cfg)
+        step = trainer.step
+
+        def covered():
+            # Team sizes 1, 2 and 3, and a departure plus an arrival pending.
+            sizes = {len(slot.obs.order) for slot in step.slots}
+            turnover = any(dep and arr for dep, arr in (s.pending_am for s in step.slots))
+            return {1, 2, 3} <= sizes and turnover
+
+        for _ in range(40):
+            if covered():
+                break
+            trainer.run_iteration()
+        assert covered()
+
+        params = trainer.model_params
+        oracle = []
+        for slot in step.slots:
+            store = copy.deepcopy(slot.am_store)
+            probs, mates = agent_model_step(params, slot.obs, store, *slot.pending_am)
+            oracle.append((store, probs, mates))
+
+        calls = []
+
+        def recording(model, teams, state):
+            calls.append((model, teams, copy.deepcopy([s.am_store for s in step.slots])))
+            out = agent_model_forward(model, teams, state)
+            calls[-1] += (out[2],)
+            return out
+
+        monkeypatch.setattr(baseline, "agent_model_forward", recording)
+        tape = Tape()
+        results, _, _, nll = step.transition(
+            trainer, trainer.value_params.bind(tape), params.bind(tape)
+        )
+        assert len(calls) == 2
+        (_, teams, _, probs), (target_model, ahead, before, ahead_probs) = calls
+
+        # Online pathway: distributions, written states and summed NLL.
+        expected_nll = 0.0
+        for slot, res, (lo, hi), (store, want, mates) in zip(step.slots, results, teams.slices, oracle):
+            assert list(slot.am_store.model) == list(store.model)
+            for j, (h, c) in store.model.items():
+                got_h, got_c = slot.am_store.model[j]
+                assert np.max(np.abs(got_h - h)) <= 1e-12
+                assert np.max(np.abs(got_c - c)) <= 1e-12
+            if not mates:
+                continue
+            assert np.max(np.abs(probs.data[lo:hi] - want.data)) <= 1e-12
+            acted = [res.joint_action[slot.obs.order[r]] for r in mates]
+            expected_nll += float(agent_model_loss(want, mates, acted).data)
+        assert abs(float(nll.data) - expected_nll) <= 1e-12
+
+        # Target pathway: online parameters, no store touched, and the same
+        # distributions as advancing a copy of each store one step ahead.
+        assert target_model is params
+        for slot, store in zip(step.slots, before):
+            assert list(slot.am_store.model) == list(store.model)
+            for j, (h, c) in store.model.items():
+                assert np.array_equal(slot.am_store.model[j][0], h)
+                assert np.array_equal(slot.am_store.model[j][1], c)
+        live = [e for e, res in enumerate(results) if not res.done]
+        assert len(ahead.slices) == len(live)
+        for (lo, hi), e in zip(ahead.slices, live):
+            res, store = results[e], copy.deepcopy(step.slots[e].am_store)
+            want, mates = agent_model_step(params, res.obs, store, res.departures, res.arrivals)
+            if mates:
+                assert np.max(np.abs(ahead_probs.data[lo:hi] - want.data)) <= 1e-12
 
 
 class TestCollectTransitions:
