@@ -5,6 +5,7 @@ Round-trips are bit-exact."""
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -18,7 +19,9 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(stores: dict, path, config_hash: str = "", global_step: int = 0):
-    """`stores` maps store name -> ParamStore."""
+    """`stores` maps store name -> ParamStore. The file is written beside
+    `path` and then renamed over it, so a failed save leaves `path` as it
+    was."""
     manifest = {
         "format": FORMAT,
         "config_hash": config_hash,
@@ -32,10 +35,12 @@ def save_checkpoint(stores: dict, path, config_hash: str = "", global_step: int 
     for store in stores.values():
         for _, t in store.items():
             chunks.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(json.dumps(manifest, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
         fh.write(b"".join(chunks))
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):

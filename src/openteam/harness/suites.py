@@ -169,7 +169,7 @@ def _block_checks(rng, instances):
 
         def f_graph(p, *, graph=graph, target=target, nodes=nodes):
             patched = graph.replace({target: p})
-            return T.sum_all(nn.graph_block(patched, nodes, 3))
+            return T.sum_all(nn.graph_block_grouped(patched, nodes, [(0, 3)]))
 
         yield f"graph/{target}", grad_check(f_graph, graph[target])
 

@@ -8,11 +8,13 @@ each teammate block (also -1 when absent). A recurrent embedding followed by
 a value head maps the vector to learner action values.
 
 Training (all environments stacked) and acting (one environment) share one
-padded forward, `padded_inputs` then `ql_baseline_forward`. QL-AM runs its
-agent model once over the stacked rosters of every environment on each
-pathway: online from the stored states, and for the target network's s'
-inputs from the online states realigned to the s' rosters, leaving the
-stores untouched.
+padded forward, `padded_inputs` then `ql_baseline_forward`. A roster change
+is applied when it is observed (`_Slot.advance`): arrivals get their slots
+and, for QL-AM, the agent model's stored states are realigned to the new
+roster. QL-AM runs its agent model once over the stacked rosters of every
+environment on each pathway, from the stored states: online, where the new
+states are written back, and for the target network's s' inputs, where they
+are discarded.
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ from ..tensor import Tensor
 from .model import (
     EmbeddingStore,
     Teams,
-    _realign_rows,
     agent_model_forward,
     embed_rows,
     env_dims,
     init_embedding,
     init_model_net,
     preprocess,
-    stack_states,
+    stacked,
 )
 from .values import act, agent_model_loss, one_hot, td_target
 
@@ -120,27 +121,33 @@ def padded_inputs(model_params, slots, width):
     """Padded input rows of every slot at its current observation.
 
     Without `model_params` (QL) these are `padded_rows` alone. With them
-    (QL-AM) every slot's agent-model recurrence first advances to its
-    observation from its pending (departures, arrivals), in one forward over
-    all slots, and the new states are written back. Returns (rows, agent
-    model pass): the pass is (Teams, h', c', distributions), None for QL.
+    (QL-AM) every slot's agent-model recurrence first advances one step from
+    its stored states, in one forward over all slots. Returns (rows, agent
+    model pass): the pass is (Teams, h', c', distributions), None for QL;
+    `write_model_states` keeps the new states.
     """
     obs_list = [slot.obs for slot in slots]
     slot_maps = [slot.slot_map for slot in slots]
     if model_params is None:
         return padded_rows(obs_list, slot_maps, width), None
-    stores = [slot.am_store for slot in slots]
-    batches = [
-        preprocess(slot.obs, slot.am_store, *slot.pending_am, maps=("model",))[0]
-        for slot in slots
-    ]
-    teams = Teams(obs_list, batches)
-    state = stack_states([store.stacked("model") for store in stores])
+    teams = Teams(obs_list, [obs.batch_rows() for obs in obs_list])
+    state = stacked([slot.am_store for slot in slots], "model")
     hm, cm, probs = agent_model_forward(model_params, teams, state)
-    for (lo, hi), store in zip(teams.slices, stores):
-        store.write("model", hm.data[lo:hi], cm.data[lo:hi])
     rows = padded_rows(obs_list, slot_maps, width, teams, probs)
     return rows, (teams, hm, cm, probs)
+
+
+def write_model_states(slots, am):
+    """Store the new agent-model states of a `padded_inputs` pass (if any)."""
+    if am is not None:
+        teams, hm, cm, _ = am
+        for (lo, hi), slot in zip(teams.slices, slots):
+            slot.am_store.write("model", hm.data[lo:hi], cm.data[lo:hi])
+
+
+def stack_states(states):
+    """Concatenate (h, c) pairs row-wise into one (H, C) pair."""
+    return np.concatenate([h for h, _ in states]), np.concatenate([c for _, c in states])
 
 
 def init_baseline_net(input_len, action_count, net_cfg, rng) -> nn.ParamStore:
@@ -171,8 +178,7 @@ class _Slot:
     slot_map: SlotMap = None
     state: tuple = None  # (h, c) of the online value recurrence
     target_state: tuple = None
-    am_store: EmbeddingStore = None
-    pending_am: tuple = ((), ())
+    am_store: EmbeddingStore = None  # QL-AM only; aligned with `obs.order`
 
     def start(self, obs, cfg: RunConfig, rng):
         """Fresh episode state at the episode's first observation `obs`."""
@@ -181,8 +187,18 @@ class _Slot:
         self.state = self.target_state = (np.zeros((1, dim)), np.zeros((1, dim)))
         self.slot_map = SlotMap(cfg.max_team_pad - 1)
         self.slot_map.apply([], [j for j in obs.order if j != obs.learner_id], rng)
-        self.am_store = EmbeddingStore(dim)
-        self.pending_am = ([], list(obs.order))
+        if cfg.algorithm == "QL-AM":
+            self.am_store = EmbeddingStore(dim)
+            preprocess(obs, self.am_store, [], obs.order, maps=("model",))
+
+    def advance(self, res, rng):
+        """Move on to the next observation of step result `res`, applying its
+        roster change: arrivals get their slots, and the agent model's states
+        (QL-AM) drop departed agents and start arrivals from zeros."""
+        self.obs = res.obs
+        self.slot_map.apply(res.departures, res.arrivals, rng)
+        if self.am_store is not None:
+            preprocess(res.obs, self.am_store, res.departures, res.arrivals, maps=("model",))
 
 
 class PaddedStep:
@@ -230,7 +246,8 @@ class PaddedStep:
         results = [slot.session.step(a) for slot, a in zip(self.slots, actions)]
         for e, slot in enumerate(self.slots):
             slot.state = (h.data[e : e + 1], c.data[e : e + 1])
-        targets = self._targets(trainer, results, am)
+        write_model_states(self.slots, am)
+        targets = self._targets(trainer, results)
 
         taken = T.sum_axis(q * Tensor(one_hot(actions, self.action_count)), 1)
         nll = None
@@ -241,46 +258,32 @@ class PaddedStep:
             trainer.record_nll(float(nll.data), len(teams.mates))
         return results, taken, targets, nll
 
-    def _targets(self, trainer, results, am):
+    def _targets(self, trainer, results):
         """Bootstrapped targets from the target network at s'."""
         cfg = self.cfg
         targets = [float(res.reward) for res in results]
         live = [e for e, res in enumerate(results) if not res.done]
         if not live:
             return targets
-        for e in live:
-            # Arrivals need their slots before s' can be padded.
-            self.slots[e].slot_map.apply(results[e].departures, results[e].arrivals, self.slot_rng)
-        obs_list = [results[e].obs for e in live]
-        slot_maps = [self.slots[e].slot_map for e in live]
-        if am is None:
-            rows = padded_rows(obs_list, slot_maps, self.action_count)
-        else:
-            # The s' distributions start from the online states realigned to
-            # the s' rosters; the next online pass advances the stores itself.
-            teams, hm, cm, _ = am
-            state = _realign_rows(teams, hm.data, cm.data, live, obs_list)
-            ahead = Teams(obs_list, [obs.batch_rows() for obs in obs_list])
-            _, _, probs = agent_model_forward(trainer.model_params, ahead, state)
-            rows = padded_rows(obs_list, slot_maps, self.action_count, ahead, probs)
+        slots = [self.slots[e] for e in live]
+        for slot, e in zip(slots, live):
+            slot.advance(results[e], self.slot_rng)
+        # The online agent model gives the s' distributions; its new states
+        # are dropped, as the next online pass advances the stores itself.
+        rows, _ = padded_inputs(trainer.model_params, slots, self.action_count)
         q, (h, c) = ql_baseline_forward(
-            trainer.target_params,
-            rows,
-            stack_states([self.slots[e].target_state for e in live]),
+            trainer.target_params, rows, stack_states([slot.target_state for slot in slots])
         )
-        for i, e in enumerate(live):
-            self.slots[e].target_state = (h.data[i : i + 1], c.data[i : i + 1])
+        for i, (slot, e) in enumerate(zip(slots, live)):
+            slot.target_state = (h.data[i : i + 1], c.data[i : i + 1])
             targets[e] = td_target(results[e].reward, q.data[i], "QL", cfg.gamma)
         return targets
 
     def next_obs(self, results):
-        """Move every environment on to its next observation."""
+        """Start a new episode in every environment whose episode ended."""
         for slot, res in zip(self.slots, results):
             if res.done:
                 slot.start(slot.session.reset(), self.cfg, self.slot_rng)
-            else:
-                slot.obs = res.obs
-                slot.pending_am = (res.departures, res.arrivals)
 
 
 class BaselinePolicy:
@@ -300,7 +303,8 @@ class BaselinePolicy:
 
     def act(self, obs) -> int:
         self.slot.obs = obs
-        rows, _ = padded_inputs(self.model_params, [self.slot], self.action_count)
+        rows, am = padded_inputs(self.model_params, [self.slot], self.action_count)
+        write_model_states([self.slot], am)
         q, (h, c) = ql_baseline_forward(self.value_params, rows, self.slot.state)
         self.slot.state = (h.data, c.data)
         q = q.data[0]
@@ -308,7 +312,4 @@ class BaselinePolicy:
         return int(best[self.rng.integers(0, len(best))])
 
     def observe(self, result):
-        if result.done:
-            return
-        self.slot.slot_map.apply(result.departures, result.arrivals, self.rng)
-        self.slot.pending_am = (result.departures, result.arrivals)
+        self.slot.advance(result, self.rng)

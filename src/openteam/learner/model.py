@@ -6,10 +6,10 @@ vector. Two independent recurrences are kept (one for the value network, one
 for the agent model) so their gradients never interfere, plus a target-side
 copy of the value recurrence.
 
-Between steps the per-agent (hidden, cell) pairs are realigned with the
-roster: rows of departed agents are dropped and arriving agents start from
-exact zeros. At the end of an episode everything resets (all agents depart,
-the next episode's initial agents arrive).
+Each roster change is applied to the per-agent (hidden, cell) pairs when it
+is observed (`preprocess`): rows of departed agents are dropped and arriving
+agents start from exact zeros, so a store always lists its environment's
+current roster. A new episode starts from a fresh store.
 """
 
 from __future__ import annotations
@@ -44,17 +44,6 @@ class EmbeddingStore:
     def map(self, which: str) -> dict:
         return getattr(self, which)
 
-    def stacked(self, which: str):
-        """(H, C) arrays in key order; (0, dim) when empty."""
-        entries = list(self.map(which).values())
-        if not entries:
-            zero = np.zeros((0, self.dim))
-            return zero, zero
-        return (
-            np.stack([h for h, _ in entries]),
-            np.stack([c for _, c in entries]),
-        )
-
     def write(self, which: str, h_rows: np.ndarray, c_rows: np.ndarray):
         m = self.map(which)
         for row, agent_id in enumerate(m):
@@ -64,9 +53,8 @@ class EmbeddingStore:
 def preprocess(obs, store: EmbeddingStore, departures, arrivals, maps=None):
     """Remove departed rows, zero-initialize arrivals, and build the batch.
 
-    Returns (B, store) with B holding one concat(x_j, u) row per agent in the
-    store's (== roster's) order. At episode end callers pass every previous
-    agent as departed and the new episode's roster as arrivals.
+    Returns one concat(x_j, u) row per agent in the store's (== roster's)
+    order. A new episode starts from a fresh store with every agent arriving.
     """
     zeros = np.zeros(store.dim)
     for which in maps or EmbeddingStore.MAPS:
@@ -86,7 +74,18 @@ def preprocess(obs, store: EmbeddingStore, departures, arrivals, maps=None):
             reordered = {agent_id: m[agent_id] for agent_id in obs.order}
             m.clear()
             m.update(reordered)
-    return obs.batch_rows(), store
+    return obs.batch_rows()
+
+
+def stacked(stores, which: str):
+    """(H, C) rows of map `which` of every store, in store then roster order;
+    (0, dim) when all are empty."""
+    entries = [pair for store in stores for pair in store.map(which).values()]
+    dim = stores[0].dim
+    return (
+        np.array([h for h, _ in entries]).reshape(-1, dim),
+        np.array([c for _, c in entries]).reshape(-1, dim),
+    )
 
 
 def embed_rows(params, batch, h, c, prefix="embed."):
@@ -97,11 +96,6 @@ def embed_rows(params, batch, h, c, prefix="embed."):
     h = h if isinstance(h, Tensor) else Tensor(h)
     c = c if isinstance(c, Tensor) else Tensor(c)
     return nn.lstm_step(params, x, (h, c), prefix=f"{prefix}lstm.")
-
-
-def stack_states(states):
-    """Concatenate (h, c) pairs row-wise into one (H, C) pair."""
-    return np.concatenate([h for h, _ in states]), np.concatenate([c for _, c in states])
 
 
 class Teams:
@@ -119,20 +113,6 @@ class Teams:
             self.learner_rows.extend([start + obs.order.index(obs.learner_id)] * n)
             start += n
         self.mates = [r for r in range(start) if r != self.learner_rows[r]]
-
-
-def _realign_rows(teams: Teams, h, c, envs, next_obs):
-    """(H, C) of the teams `envs` of `teams` realigned to their rosters in
-    `next_obs`, from `h`, `c` aligned with `teams.rows`: rows of departed
-    agents are dropped and arriving agents get zero rows."""
-    picked = []
-    for e, obs in zip(envs, next_obs):
-        lo = teams.slices[e][0]
-        index = {agent_id: lo + r for r, agent_id in enumerate(teams.obs[e].order)}
-        picked.extend(index.get(agent_id, -1) for agent_id in obs.order)
-    picked = np.array(picked)
-    kept = (picked >= 0)[:, None]
-    return np.where(kept, h[picked], 0.0), np.where(kept, c[picked], 0.0)
 
 
 def agent_model_forward(params, teams: Teams, state):
@@ -153,9 +133,9 @@ def agent_model_step(params, obs, store: EmbeddingStore, departures, arrivals):
     Returns every agent's predicted action distribution (None when the
     learner is alone) and the rows of the learner's teammates.
     """
-    batch, _ = preprocess(obs, store, departures, arrivals, maps=("model",))
+    batch = preprocess(obs, store, departures, arrivals, maps=("model",))
     teams = Teams([obs], [batch])
-    hm, cm, probs = agent_model_forward(params, teams, store.stacked("model"))
+    hm, cm, probs = agent_model_forward(params, teams, stacked([store], "model"))
     store.write("model", hm.data, cm.data)
     return probs, teams.mates
 

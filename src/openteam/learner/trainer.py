@@ -16,10 +16,12 @@ rows into its learner's action values; `GplPolicy` acts with the same
 function on one environment. Joint values and losses are batched too, with
 per-team segment sums.
 
-The target pathway keeps its own recurrent state: after each transition it
-is realigned to the new roster and advanced with the target parameters,
-while the next-state teammate distributions come from the online agent model
-(advanced one step ahead and then discarded).
+Every environment's `EmbeddingStore` follows its roster: right after a step
+the online states are written and all three maps are realigned to the next
+roster (`preprocess`). The target pathway keeps its own recurrent state,
+advanced at s' with the target parameters, while the s' teammate
+distributions come from the online agent model (advanced one step ahead of
+its stored states and then discarded).
 """
 
 from __future__ import annotations
@@ -37,14 +39,13 @@ from .baseline import PaddedStep
 from .model import (
     EmbeddingStore,
     Teams,
-    _realign_rows,
     agent_model_step,
     embed_rows,
     env_dims,
     init_model_net,
     init_value_net,
     preprocess,
-    stack_states,
+    stacked,
 )
 from .values import (
     UtilityTables,
@@ -59,6 +60,8 @@ from .values import (
 )
 
 GPL_ALGORITHMS = ("GPL-Q", "GPL-SPI")
+# The recurrences `GplPolicy` acts with; the target copy is training's own.
+POLICY_MAPS = ("value", "model")
 # Supervised agent-model fit: peak Adam step size and targets per update.
 SUPERVISED_LR = 2e-3
 SUPERVISED_GROUP = 16
@@ -122,10 +125,8 @@ def team_forward(value_params, model_params, teams: Teams, value_state, model_st
 @dataclass
 class _Slot:
     session: object
-    store: EmbeddingStore
+    store: EmbeddingStore = None  # aligned with `obs.order`
     obs: object = None
-    pending_online: tuple = ((), ())
-    pending_target: tuple | None = ((), ())
 
 
 class GplStep:
@@ -141,9 +142,8 @@ class GplStep:
         self.learner_rng = np.random.default_rng(self.seeds[1])
         self.slots = []
         for seed in self.seeds[3:]:
-            session = make_session(cfg.env, cfg.openness_train, np.random.default_rng(seed))
-            slot = _Slot(session, EmbeddingStore(cfg.net.embedding_dim))
-            self._start_episode(slot, [])
+            slot = _Slot(make_session(cfg.env, cfg.openness_train, np.random.default_rng(seed)))
+            self._start_episode(slot)
             self.slots.append(slot)
 
     def init_params(self):
@@ -155,11 +155,10 @@ class GplStep:
             init_model_net(x_len + u_len, action_count, self.cfg.net, rng),
         )
 
-    @staticmethod
-    def _start_episode(slot, departed):
+    def _start_episode(self, slot):
         slot.obs = slot.session.reset()
-        slot.pending_online = (departed, list(slot.obs.order))
-        slot.pending_target = (departed, list(slot.obs.order))
+        slot.store = EmbeddingStore(self.cfg.net.embedding_dim)
+        preprocess(slot.obs, slot.store, [], slot.obs.order)
 
     def transition(self, trainer, value, model):
         """Act in and step every environment. Returns the step results, each
@@ -170,19 +169,10 @@ class GplStep:
             explore = cfg.tau
         else:
             explore = cfg.epsilon.value(trainer.global_step, cfg.total_steps)
-        batches = []
-        for slot in self.slots:
-            batch, _ = preprocess(
-                slot.obs, slot.store, *slot.pending_online, maps=("value", "model")
-            )
-            if slot.pending_target is not None:
-                preprocess(slot.obs, slot.store, *slot.pending_target, maps=("target",))
-                slot.pending_target = None
-            batches.append(batch)
-        teams = Teams([slot.obs for slot in self.slots], batches)
+        obs_list = [slot.obs for slot in self.slots]
+        teams = Teams(obs_list, [obs.batch_rows() for obs in obs_list])
         stores = [slot.store for slot in self.slots]
-        value_state = stack_states([store.stacked("value") for store in stores])
-        model_state = stack_states([store.stacked("model") for store in stores])
+        value_state, model_state = stacked(stores, "value"), stacked(stores, "model")
         out = team_forward(value, model, teams, value_state, model_state, cfg.net.rank)
 
         actions = []
@@ -191,11 +181,16 @@ class GplStep:
             trainer.record_qbar(qbar)
         results = [slot.session.step(a) for slot, a in zip(self.slots, actions)]
 
-        # Advance the online recurrent state (detached between iterations).
-        for (lo, hi), store in zip(teams.slices, stores):
-            store.write("value", out.hq.data[lo:hi], out.cq.data[lo:hi])
-            store.write("model", out.hm.data[lo:hi], out.cm.data[lo:hi])
-        targets = self._targets(trainer, teams, out, results)
+        # Advance the online recurrent state (detached between iterations),
+        # then follow each continuing environment to its next roster.
+        ahead = []  # s' input rows of the continuing environments
+        for (lo, hi), slot, res in zip(teams.slices, self.slots, results):
+            slot.store.write("value", out.hq.data[lo:hi], out.cq.data[lo:hi])
+            slot.store.write("model", out.hm.data[lo:hi], out.cm.data[lo:hi])
+            if not res.done:
+                slot.obs = res.obs
+                ahead.append(preprocess(res.obs, slot.store, res.departures, res.arrivals))
+        targets = self._targets(trainer, results, ahead)
 
         taken = [res.joint_action[j] for obs, res in zip(teams.obs, results) for j in obs.order]
         joint = joint_values(out.singular, out.factors, taken, teams.slices, cfg.net.rank)
@@ -205,27 +200,24 @@ class GplStep:
             trainer.record_nll(float(nll.data), len(teams.mates))
         return results, joint, targets, nll
 
-    def _targets(self, trainer, teams, out, results):
-        """Bootstrapped targets from the target-parameter pathway at s'."""
+    def _targets(self, trainer, results, batches):
+        """Bootstrapped targets from the target-parameter pathway at s', from
+        the stores already realigned to the s' rosters and the s' input rows
+        `batches` of the continuing environments."""
         cfg = self.cfg
         targets = [float(res.reward) for res in results]
         live = [e for e, res in enumerate(results) if not res.done]
         if not live:
             return targets
 
-        batches = []
-        for e in live:
-            store, res = self.slots[e].store, results[e]
-            batch, _ = preprocess(res.obs, store, res.departures, res.arrivals, maps=("target",))
-            batches.append(batch)
         ahead = Teams([results[e].obs for e in live], batches)
         stores = [self.slots[e].store for e in live]
         nxt = team_forward(
             trainer.target_params,
             trainer.model_params,
             ahead,
-            stack_states([store.stacked("target") for store in stores]),
-            _realign_rows(teams, out.hm.data, out.cm.data, live, ahead.obs),
+            stacked(stores, "target"),
+            stacked(stores, "model"),
             cfg.net.rank,
         )
         for (lo, hi), store, e, qbar in zip(ahead.slices, stores, live, nxt.qbars):
@@ -234,13 +226,10 @@ class GplStep:
         return targets
 
     def next_obs(self, results):
-        """Move every environment on to its next observation."""
+        """Start a new episode in every environment whose episode ended."""
         for slot, res in zip(self.slots, results):
             if res.done:
-                self._start_episode(slot, list(res.obs.order))
-            else:
-                slot.obs = res.obs
-                slot.pending_online = (res.departures, res.arrivals)
+                self._start_episode(slot)
 
 
 class Trainer:
@@ -387,23 +376,24 @@ class GplPolicy:
         self.value_params = value_params
         self.model_params = model_params
         self.rng = rng
-        self.store = EmbeddingStore(cfg.net.embedding_dim)
         self.last_tables = None
         self.last_qbar = None
 
     def reset(self, obs):
         self.store = EmbeddingStore(self.cfg.net.embedding_dim)
-        self.pending = ([], list(obs.order))
+        preprocess(obs, self.store, [], obs.order, POLICY_MAPS)
 
     def act(self, obs) -> int:
-        batch, _ = preprocess(obs, self.store, *self.pending, maps=("value", "model"))
+        # No roster change here (`observe` applied it): this only checks that
+        # `obs` is the observation the store follows.
+        batch = preprocess(obs, self.store, [], [], POLICY_MAPS)
         rank = self.cfg.net.rank
         out = team_forward(
             self.value_params,
             self.model_params,
             Teams([obs], [batch]),
-            self.store.stacked("value"),
-            self.store.stacked("model"),
+            stacked([self.store], "value"),
+            stacked([self.store], "model"),
             rank,
         )
         self.store.write("value", out.hq.data, out.cq.data)
@@ -419,8 +409,7 @@ class GplPolicy:
         return int(best[self.rng.integers(0, len(best))])
 
     def observe(self, result):
-        # After the last step of an episode `reset` replaces this.
-        self.pending = (result.departures, result.arrivals)
+        preprocess(result.obs, self.store, result.departures, result.arrivals, POLICY_MAPS)
 
 
 def collect_transitions(cfg: RunConfig, steps: int, seed: int) -> list:

@@ -204,12 +204,11 @@ def spi_policy(qbar, tau: float) -> Tensor:
     return T.softmax(T.scalar_mul(q, 1.0 / tau))
 
 
-def td_target(reward, next_qbar, mode, gamma, tau=None, terminal=False) -> float:
-    """Bootstrapped target value; terminal transitions use the bare reward."""
+def td_target(reward, next_qbar, mode, gamma, tau=None) -> float:
+    """Bootstrapped target value of a non-terminal transition (a terminal one
+    is its bare reward)."""
     if mode not in ("QL", "SPI"):
         raise ValueError(f"unknown target mode {mode!r}")
-    if terminal:
-        return float(reward)
     q = next_qbar.data if isinstance(next_qbar, Tensor) else np.asarray(next_qbar)
     if mode == "QL":
         return float(reward + gamma * q.max())

@@ -109,21 +109,6 @@ def init_graph_block(node_dim, edge_sizes, node_sizes, rng) -> ParamStore:
     return edge.merged_with(node)
 
 
-def init_params(spec, rng) -> ParamStore:
-    """Dispatch on block kind: ("mlp", sizes), ("lstm", (in, hidden)),
-    ("graph", (node_dim, edge_sizes, node_sizes))."""
-    if not spec:
-        raise ValueError("init_params: empty spec")
-    kind, args = spec
-    if kind == "mlp":
-        return init_mlp(list(args), rng)
-    if kind == "lstm":
-        return init_lstm(args[0], args[1], rng)
-    if kind == "graph":
-        return init_graph_block(args[0], list(args[1]), list(args[2]), rng)
-    raise ValueError(f"init_params: unknown block kind {kind!r}")
-
-
 _ACTIVATIONS = {
     "tanh": T.tanh,
     "sigmoid": T.sigmoid,
@@ -243,17 +228,6 @@ def _last_layer(params, prefix):
     while f"{prefix}w{layer + 1}" in params:
         layer += 1
     return layer
-
-
-def graph_block(params, node_inputs: Tensor, n: int, prefix="") -> Tensor:
-    """Per-agent embeddings over one fully connected graph of `n` agents."""
-    if n < 1:
-        raise OpError("graph_block: agent count must be >= 1")
-    if node_inputs.data.shape[0] != n:
-        raise OpError(
-            f"graph_block: expected {n} node rows, got {node_inputs.data.shape[0]}"
-        )
-    return graph_block_grouped(params, node_inputs, [(0, n)], prefix=prefix)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from openteam.config import (
     config_to_dict,
     default_config,
 )
+from openteam.harness import checkpoint
 from openteam.harness.analyze import action_mean, analyze_pairwise, deviation
 from openteam.harness.checkpoint import (
     CheckpointError,
@@ -119,6 +120,33 @@ class TestCheckpoint:
         path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.otck"
+        save_checkpoint({"value": nn.ParamStore({"w": np.ones((4, 4))})}, path, global_step=1)
+        before = path.read_bytes()
+
+        class FullDisk:
+            # Writes the first half of every chunk, then fails.
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(
+            checkpoint, "open", lambda name, mode: FullDisk(open(name, mode)), raising=False
+        )
+        with pytest.raises(OSError):
+            save_checkpoint({"value": nn.ParamStore({"w": np.zeros((4, 4))})}, path, global_step=2)
+        assert path.read_bytes() == before
 
     def test_garbage_manifest_rejected(self, tmp_path):
         path = tmp_path / "x.otck"

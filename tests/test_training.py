@@ -18,7 +18,12 @@ from openteam.learner.baseline import (
     ql_baseline_forward,
 )
 from openteam.envs.session import make_session
-from openteam.learner.model import agent_model_forward, agent_model_step, init_model_net
+from openteam.learner.model import (
+    agent_model_forward,
+    agent_model_step,
+    init_model_net,
+    preprocess,
+)
 from openteam.learner.values import agent_model_loss
 from openteam.learner.trainer import (
     GplPolicy,
@@ -129,7 +134,6 @@ class TestSharedForward:
             rng = np.random.default_rng(0)
             policy = GplPolicy(cfg, trainer.value_params, trainer.model_params, rng)
             policy.store = copy.deepcopy(slot.store)
-            policy.pending = slot.pending_online
             teams.append((policy, slot.obs))
         assert any(len(obs.order) > 1 for _, obs in teams)
         stacked = []
@@ -191,11 +195,20 @@ class TestBatchedAgentModel:
         )
         trainer = Trainer(cfg)
         step = trainer.step
+        last = []
+        next_obs = step.next_obs
+
+        def recording_next_obs(results):
+            last[:] = results
+            next_obs(results)
+
+        monkeypatch.setattr(step, "next_obs", recording_next_obs)
 
         def covered():
-            # Team sizes 1, 2 and 3, and a departure plus an arrival pending.
+            # Team sizes 1, 2 and 3, and a departure plus an arrival just
+            # applied to a store.
             sizes = {len(slot.obs.order) for slot in step.slots}
-            turnover = any(dep and arr for dep, arr in (s.pending_am for s in step.slots))
+            turnover = any(res.departures and res.arrivals for res in last)
             return {1, 2, 3} <= sizes and turnover
 
         for _ in range(40):
@@ -208,7 +221,7 @@ class TestBatchedAgentModel:
         oracle = []
         for slot in step.slots:
             store = copy.deepcopy(slot.am_store)
-            probs, mates = agent_model_step(params, slot.obs, store, *slot.pending_am)
+            probs, mates = agent_model_step(params, slot.obs, store, [], [])
             oracle.append((store, probs, mates))
 
         calls = []
@@ -227,18 +240,24 @@ class TestBatchedAgentModel:
         assert len(calls) == 2
         (_, teams, _, probs), (target_model, ahead, before, ahead_probs) = calls
 
-        # Online pathway: distributions, written states and summed NLL.
+        # Online pathway: distributions, written states (realigned to the s'
+        # roster where the episode goes on) and summed NLL.
         expected_nll = 0.0
-        for slot, res, (lo, hi), (store, want, mates) in zip(step.slots, results, teams.slices, oracle):
-            assert list(slot.am_store.model) == list(store.model)
-            for j, (h, c) in store.model.items():
+        for obs, res, (lo, hi), slot, (store, want, mates) in zip(
+            teams.obs, results, teams.slices, step.slots, oracle
+        ):
+            written = copy.deepcopy(store)
+            if not res.done:
+                preprocess(res.obs, written, res.departures, res.arrivals, maps=("model",))
+            assert list(slot.am_store.model) == list(written.model)
+            for j, (h, c) in written.model.items():
                 got_h, got_c = slot.am_store.model[j]
                 assert np.max(np.abs(got_h - h)) <= 1e-12
                 assert np.max(np.abs(got_c - c)) <= 1e-12
             if not mates:
                 continue
             assert np.max(np.abs(probs.data[lo:hi] - want.data)) <= 1e-12
-            acted = [res.joint_action[slot.obs.order[r]] for r in mates]
+            acted = [res.joint_action[obs.order[r]] for r in mates]
             expected_nll += float(agent_model_loss(want, mates, acted).data)
         assert abs(float(nll.data) - expected_nll) <= 1e-12
 
@@ -253,10 +272,67 @@ class TestBatchedAgentModel:
         live = [e for e, res in enumerate(results) if not res.done]
         assert len(ahead.slices) == len(live)
         for (lo, hi), e in zip(ahead.slices, live):
-            res, store = results[e], copy.deepcopy(step.slots[e].am_store)
+            res, store = results[e], copy.deepcopy(oracle[e][0])
             want, mates = agent_model_step(params, res.obs, store, res.departures, res.arrivals)
             if mates:
                 assert np.max(np.abs(ahead_probs.data[lo:hi] - want.data)) <= 1e-12
+
+
+class TestStoresFollowTheRoster:
+    # Every roster change is applied when it is observed, so between
+    # iterations and between policy steps each recurrent store lists exactly
+    # the agents of its environment's current observation.
+    POOL = ("wolf.H1", "wolf.H2")
+
+    def cfg(self, algorithm):
+        openness = OpennessConfig((2, 5), (2, 4), 3, self.POOL)
+        return tiny_cfg(algorithm, parallel_envs=3, seed=1, openness_train=openness)
+
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "QL-AM", "QL"])
+    def test_trainer_stores(self, algorithm):
+        trainer = Trainer(self.cfg(algorithm))
+        rosters = [list(slot.obs.order) for slot in trainer.step.slots]
+        changes = 0
+        for _ in range(40):
+            trainer.run_iteration()
+            for e, slot in enumerate(trainer.step.slots):
+                changes += slot.obs.order != rosters[e]
+                rosters[e] = list(slot.obs.order)
+                if algorithm == "QL":
+                    assert slot.am_store is None
+                elif algorithm == "QL-AM":
+                    assert list(slot.am_store.model) == slot.obs.order
+                    assert not slot.am_store.value and not slot.am_store.target
+                else:
+                    for which in ("value", "model", "target"):
+                        assert list(slot.store.map(which)) == slot.obs.order
+        assert changes >= 10
+
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "QL-AM"])
+    def test_policy_stores(self, algorithm):
+        cfg = self.cfg(algorithm)
+        trainer = Trainer(cfg)
+        policy_class = GplPolicy if algorithm == "GPL-Q" else BaselinePolicy
+        policy = policy_class(cfg, trainer.value_params, trainer.model_params, np.random.default_rng(0))
+        session = make_session(cfg.env, cfg.openness_train, np.random.default_rng(5))
+
+        def listed():
+            if algorithm == "GPL-Q":
+                return [list(policy.store.value), list(policy.store.model)]
+            return [list(policy.slot.am_store.model), policy.slot.obs.order]
+
+        changes = 0
+        for _ in range(2):
+            obs, done = session.reset(), False
+            policy.reset(obs)
+            while not done:
+                assert listed() == [obs.order, obs.order]
+                res = session.step(policy.act(obs))
+                policy.observe(res)
+                changes += bool(res.departures or res.arrivals)
+                obs, done = res.obs, res.done
+            assert listed() == [obs.order, obs.order]
+        assert changes >= 5
 
 
 class TestCollectTransitions:
