@@ -1,6 +1,7 @@
 """Run configuration: environment, openness, networks, training schedule.
 
-Configs round-trip through plain JSON dicts with nested sections. Defaults
+Configs round-trip through plain JSON dicts with nested sections; a dict
+that omits a key or section loads the value of `default_config`. Defaults
 mirror the grid-world setup this package targets: 16 parallel environments,
 Adam at 2.5e-4, updates every 4 parallel steps, Polyak 1e-3, rank-5 pairwise
 factors, and the 100/70-60/30-70/20 layer widths.
@@ -8,13 +9,14 @@ factors, and the 100/70-60/30-70/20 layer widths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .envs.base import EnvConfig
 from .openness import OpennessConfig
 from .teammates import LBF_TYPES, WOLF_TYPES
 
-ALGORITHMS = ("GPL-Q", "GPL-SPI", "QL", "QL-AM")
+GPL_ALGORITHMS = ("GPL-Q", "GPL-SPI")
+ALGORITHMS = (*GPL_ALGORITHMS, "QL", "QL-AM")
 
 
 class ConfigError(ValueError):
@@ -87,8 +89,11 @@ class RunConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         self.net.validate()
         self.epsilon.validate()
-        self.openness_train.validate()
-        self.openness_eval.validate()
+        try:
+            self.openness_train.validate()
+            self.openness_eval.validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.algorithm == "GPL-SPI" and self.tau <= 0:
             raise ConfigError("GPL-SPI needs a positive temperature")
         if not 0 <= self.gamma <= 1:
@@ -103,8 +108,9 @@ class RunConfig:
             raise ConfigError("intervals must be >= 1")
         if not 0 < self.polyak_alpha <= 1:
             raise ConfigError("polyak alpha must be in (0, 1]")
+        # Only the padded-input baselines read `max_team_pad`.
         limit = max(self.openness_train.team_limit, self.openness_eval.team_limit)
-        if self.max_team_pad < limit:
+        if self.algorithm not in GPL_ALGORITHMS and self.max_team_pad < limit:
             raise ConfigError("padded input must cover the largest team limit")
         return self
 
@@ -119,7 +125,7 @@ def _default_openness(env_name: str, team_limit: int) -> OpennessConfig:
     return OpennessConfig((15, 25), (10, 20), team_limit, _default_pool(env_name))
 
 
-def default_config(env_name: str, algorithm: str = "GPL-Q") -> RunConfig:
+def default_config(env_name: str, algorithm: str = RunConfig.algorithm) -> RunConfig:
     return RunConfig(
         env=EnvConfig.defaults(env_name),
         openness_train=_default_openness(env_name, 3),
@@ -143,108 +149,59 @@ def _openness_from_dict(d: dict) -> OpennessConfig:
     )
 
 
+# `RunConfig` fields with a JSON section or key of their own; every other
+# field (gamma ... max_team_pad, in field order) goes into "training".
+_OWN_SECTIONS = ("env", "openness_train", "openness_eval", "algorithm", "net", "seed")
+_TRAINING = tuple(f.name for f in fields(RunConfig) if f.name not in _OWN_SECTIONS)
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
+    training = {name: getattr(cfg, name) for name in _TRAINING}
+    training["epsilon"] = asdict(cfg.epsilon)
     return {
-        "environment": {
-            "name": cfg.env.name,
-            "width": cfg.env.width,
-            "height": cfg.env.height,
-            "horizon": cfg.env.horizon,
-            "n_objects": cfg.env.n_objects,
-            "prey_count": cfg.env.prey_count,
-        },
+        "environment": asdict(cfg.env),
         "openness": {
             "train": _openness_to_dict(cfg.openness_train),
             "eval": _openness_to_dict(cfg.openness_eval),
         },
         "algorithm": cfg.algorithm,
-        "network": {
-            "embedding_dim": cfg.net.embedding_dim,
-            "utility_hidden": list(cfg.net.utility_hidden),
-            "edge_hidden": list(cfg.net.edge_hidden),
-            "node_hidden": list(cfg.net.node_hidden),
-            "decoder_hidden": list(cfg.net.decoder_hidden),
-            "rank": cfg.net.rank,
-        },
-        "training": {
-            "gamma": cfg.gamma,
-            "tau": cfg.tau,
-            "lr": cfg.lr,
-            "epsilon": {
-                "start": cfg.epsilon.start,
-                "end": cfg.epsilon.end,
-                "anneal_fraction": cfg.epsilon.anneal_fraction,
-            },
-            "parallel_envs": cfg.parallel_envs,
-            "total_steps": cfg.total_steps,
-            "update_interval": cfg.update_interval,
-            "polyak_alpha": cfg.polyak_alpha,
-            "checkpoint_interval": cfg.checkpoint_interval,
-            "max_team_pad": cfg.max_team_pad,
-        },
+        "network": asdict(cfg.net),
+        "training": training,
         "seed": cfg.seed,
     }
 
 
+_MISSING = object()
+
+
+def _merged(base, section: dict, names=None):
+    """`base` with each field (of `names`, when given) that `section` holds
+    replaced by its value, cast to the type of the value it replaces; nested
+    dataclasses merge their own sections. Other keys are ignored."""
+    changes = {}
+    for name in names or [f.name for f in fields(base)]:
+        new = section.get(name, _MISSING)
+        if new is not _MISSING:
+            old = getattr(base, name)
+            changes[name] = _merged(old, new) if is_dataclass(old) else type(old)(new)
+    return replace(base, **changes)
+
+
 def config_from_dict(data: dict) -> RunConfig:
+    """The config that `data` describes; omitted keys and sections take the
+    values of `default_config` for its environment and algorithm."""
     try:
-        env_name = data["environment"]["name"]
-        base = EnvConfig.defaults(env_name)
         env_section = data["environment"]
-        env = EnvConfig(
-            name=env_name,
-            width=int(env_section.get("width", base.width)),
-            height=int(env_section.get("height", base.height)),
-            horizon=int(env_section.get("horizon", base.horizon)),
-            n_objects=int(env_section.get("n_objects", base.n_objects)),
-            prey_count=int(env_section.get("prey_count", base.prey_count)),
-        )
+        base = default_config(env_section["name"], data.get("algorithm", RunConfig.algorithm))
+        cfg = replace(base, env=_merged(base.env, env_section))
         openness = data.get("openness", {})
-        train_o = (
-            _openness_from_dict(openness["train"])
-            if "train" in openness
-            else _default_openness(env_name, 3)
-        )
-        eval_o = (
-            _openness_from_dict(openness["eval"])
-            if "eval" in openness
-            else _default_openness(env_name, 5)
-        )
-        net_section = data.get("network", {})
-        defaults = NetConfig()
-        net = NetConfig(
-            embedding_dim=int(net_section.get("embedding_dim", defaults.embedding_dim)),
-            utility_hidden=tuple(net_section.get("utility_hidden", defaults.utility_hidden)),
-            edge_hidden=tuple(net_section.get("edge_hidden", defaults.edge_hidden)),
-            node_hidden=tuple(net_section.get("node_hidden", defaults.node_hidden)),
-            decoder_hidden=tuple(net_section.get("decoder_hidden", defaults.decoder_hidden)),
-            rank=int(net_section.get("rank", defaults.rank)),
-        )
-        tr = data.get("training", {})
-        eps_section = tr.get("epsilon", {})
-        eps = EpsilonSchedule(
-            start=float(eps_section.get("start", 1.0)),
-            end=float(eps_section.get("end", 0.05)),
-            anneal_fraction=float(eps_section.get("anneal_fraction", 0.75)),
-        )
-        cfg = RunConfig(
-            env=env,
-            openness_train=train_o,
-            openness_eval=eval_o,
-            algorithm=data.get("algorithm", "GPL-Q"),
-            net=net,
-            gamma=float(tr.get("gamma", 0.99)),
-            tau=float(tr.get("tau", 0.1)),
-            lr=float(tr.get("lr", 2.5e-4)),
-            epsilon=eps,
-            parallel_envs=int(tr.get("parallel_envs", 16)),
-            total_steps=int(tr.get("total_steps", 200_000)),
-            update_interval=int(tr.get("update_interval", 4)),
-            polyak_alpha=float(tr.get("polyak_alpha", 1e-3)),
-            checkpoint_interval=int(tr.get("checkpoint_interval", 10_000)),
-            max_team_pad=int(tr.get("max_team_pad", 5)),
-            seed=int(data.get("seed", 0)),
-        )
+        if "train" in openness:
+            cfg = replace(cfg, openness_train=_openness_from_dict(openness["train"]))
+        if "eval" in openness:
+            cfg = replace(cfg, openness_eval=_openness_from_dict(openness["eval"]))
+        cfg = replace(cfg, net=_merged(base.net, data.get("network", {})))
+        cfg = _merged(cfg, data.get("training", {}), _TRAINING)
+        cfg = _merged(cfg, data, ("seed",))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -1,40 +1,1 @@
-from .base import (
-    DELTAS,
-    LBF_ACTIONS,
-    LOAD,
-    MOVE_ACTIONS,
-    STAY,
-    WOLF_ACTIONS,
-    EnvConfig,
-    Observation,
-    manhattan,
-    neighbors4,
-)
-from .foraging import LbfState, encode_lbf_obs, lbf_reset, lbf_step
-from .session import OpenEnv, StepResult, make_session
-from .wolfpack import WolfState, encode_wolf_obs, prey_act, wolf_reset, wolf_step
-
-__all__ = [
-    "DELTAS",
-    "LBF_ACTIONS",
-    "LOAD",
-    "MOVE_ACTIONS",
-    "STAY",
-    "WOLF_ACTIONS",
-    "EnvConfig",
-    "Observation",
-    "manhattan",
-    "neighbors4",
-    "LbfState",
-    "encode_lbf_obs",
-    "lbf_reset",
-    "lbf_step",
-    "OpenEnv",
-    "StepResult",
-    "make_session",
-    "WolfState",
-    "encode_wolf_obs",
-    "prey_act",
-    "wolf_reset",
-    "wolf_step",
-]
+"""Open-team grid worlds: wolfpack and level-based foraging."""

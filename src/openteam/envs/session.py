@@ -8,7 +8,7 @@ placed on random empty cells with freshly sampled traits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,7 +15,6 @@ import numpy as np
 from ..openness import LEARNER_ID, Roster
 from .base import (
     MOVE_ACTIONS,
-    STAY,
     WOLF_ACTIONS,
     Observation,
     chebyshev,

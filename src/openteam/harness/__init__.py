@@ -1,11 +1,1 @@
-from .checkpoint import load_checkpoint, save_checkpoint
-from .metrics import MetricRecord
-from .run import evaluate, run_training
-
-__all__ = [
-    "load_checkpoint",
-    "save_checkpoint",
-    "MetricRecord",
-    "evaluate",
-    "run_training",
-]
+"""Training runs, evaluation, checkpoints, analysis and the command line."""

@@ -21,9 +21,9 @@ import json
 
 import numpy as np
 
-from ..config import RunConfig
+from ..config import GPL_ALGORITHMS, RunConfig
 from ..envs.session import make_session
-from ..learner.trainer import GPL_ALGORITHMS, GplPolicy
+from ..learner.trainer import GplPolicy
 from .checkpoint import CheckpointError, load_checkpoint
 
 

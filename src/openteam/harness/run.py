@@ -9,10 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..config import ConfigError, RunConfig, config_from_dict, config_to_dict
+from ..config import GPL_ALGORITHMS, ConfigError, RunConfig, config_from_dict, config_to_dict
 from ..envs.session import make_session
 from ..learner.baseline import BaselinePolicy
-from ..learner.trainer import GPL_ALGORITHMS, GplPolicy, train
+from ..learner.trainer import GplPolicy, init_params, mean_ci, train
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, shape_diff
 from .metrics import MetricRecord, append_record
 
@@ -60,23 +60,10 @@ def run_training(cfg: RunConfig, out_dir) -> str:
 
 
 def _check_compatible(cfg: RunConfig, stores: dict):
-    from ..learner.baseline import init_baseline_net, padded_input_len
-    from ..learner.model import env_dims, init_model_net, init_value_net
-
-    x_len, u_len, action_count = env_dims(cfg)
-    in_dim = x_len + u_len
-    rng = np.random.default_rng(0)
-    if cfg.algorithm in GPL_ALGORITHMS:
-        expected = {
-            "value": init_value_net(in_dim, action_count, cfg.net, rng).shapes(),
-            "agent_model": init_model_net(in_dim, action_count, cfg.net, rng).shapes(),
-        }
-    else:
-        expected = {
-            "value": init_baseline_net(padded_input_len(cfg), action_count, cfg.net, rng).shapes()
-        }
-        if cfg.algorithm == "QL-AM":
-            expected["agent_model"] = init_model_net(in_dim, action_count, cfg.net, rng).shapes()
+    value, model = init_params(cfg, np.random.default_rng(0))
+    expected = {"value": value.shapes()}
+    if model is not None:
+        expected["agent_model"] = model.shapes()
     problems = []
     for name, shapes in expected.items():
         if name not in stores:
@@ -89,23 +76,29 @@ def _check_compatible(cfg: RunConfig, stores: dict):
         )
 
 
+def _eval_config(cfg: RunConfig, episodes: int, team_limit: int | None) -> RunConfig:
+    """`cfg` with its evaluation team limit set to `team_limit` (when given),
+    validated before any episode runs."""
+    if episodes < 1:
+        raise ConfigError("need at least one evaluation episode")
+    if team_limit is not None:
+        cfg = replace(cfg, openness_eval=replace(cfg.openness_eval, team_limit=team_limit))
+    return cfg.validate()
+
+
 def evaluate(
     checkpoint_path, cfg: RunConfig, episodes: int, seed: int, team_limit: int | None = None
 ) -> MetricRecord:
     """Mean return (with 95% CI) of the stored policy under the evaluation
     openness process. Pure function of (checkpoint, config, seed)."""
-    if episodes < 1:
-        raise ConfigError("need at least one evaluation episode")
+    cfg = _eval_config(cfg, episodes, team_limit)
     stores, manifest = load_checkpoint(checkpoint_path)
-    openness = cfg.openness_eval
-    if team_limit is not None:
-        openness = replace(openness, team_limit=team_limit)
     _check_compatible(cfg, stores)
 
     seeds = np.random.SeedSequence(seed).spawn(2)
     env_rng = np.random.default_rng(seeds[0])
     policy_rng = np.random.default_rng(seeds[1])
-    session = make_session(cfg.env, openness, env_rng)
+    session = make_session(cfg.env, cfg.openness_eval, env_rng)
     if cfg.algorithm in GPL_ALGORITHMS:
         policy = GplPolicy(cfg, stores["value"], stores["agent_model"], policy_rng)
     else:
@@ -126,8 +119,7 @@ def evaluate(
             done = res.done
         returns.append(total)
 
-    mean = float(np.mean(returns))
-    ci = float(1.96 * np.std(returns, ddof=1) / np.sqrt(len(returns))) if len(returns) > 1 else 0.0
+    mean, ci = mean_ci(returns)
     return MetricRecord(
         global_step=int(manifest.get("global_step", 0)),
         episodes=len(returns),
@@ -140,11 +132,9 @@ def evaluate(
 
 def random_policy_record(cfg: RunConfig, episodes: int, seed: int, team_limit=None) -> MetricRecord:
     """Uniform-random learner baseline under the same evaluation process."""
-    openness = cfg.openness_eval
-    if team_limit is not None:
-        openness = replace(openness, team_limit=team_limit)
+    cfg = _eval_config(cfg, episodes, team_limit)
     seeds = np.random.SeedSequence(seed).spawn(2)
-    session = make_session(cfg.env, openness, np.random.default_rng(seeds[0]))
+    session = make_session(cfg.env, cfg.openness_eval, np.random.default_rng(seeds[0]))
     rng = np.random.default_rng(seeds[1])
     returns = []
     for _ in range(episodes):
@@ -156,6 +146,5 @@ def random_policy_record(cfg: RunConfig, episodes: int, seed: int, team_limit=No
             total += res.reward
             done = res.done
         returns.append(total)
-    mean = float(np.mean(returns))
-    ci = float(1.96 * np.std(returns, ddof=1) / np.sqrt(len(returns))) if len(returns) > 1 else 0.0
+    mean, ci = mean_ci(returns)
     return MetricRecord(0, len(returns), mean, ci)

@@ -35,7 +35,6 @@ from .model import (
     embed_rows,
     env_dims,
     init_embedding,
-    init_model_net,
     preprocess,
     stacked,
 )
@@ -130,7 +129,7 @@ def padded_inputs(model_params, slots, width):
     slot_maps = [slot.slot_map for slot in slots]
     if model_params is None:
         return padded_rows(obs_list, slot_maps, width), None
-    teams = Teams(obs_list, [obs.batch_rows() for obs in obs_list])
+    teams = Teams(obs_list)
     state = stacked([slot.am_store for slot in slots], "model")
     hm, cm, probs = agent_model_forward(model_params, teams, state)
     rows = padded_rows(obs_list, slot_maps, width, teams, probs)
@@ -210,7 +209,6 @@ class PaddedStep:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.with_model = cfg.algorithm == "QL-AM"
         self.seeds = np.random.SeedSequence(cfg.seed).spawn(4 + cfg.parallel_envs)
         self.learner_rng = np.random.default_rng(self.seeds[1])
         self.slot_rng = np.random.default_rng(self.seeds[2])
@@ -220,15 +218,6 @@ class PaddedStep:
             slot = _Slot(make_session(cfg.env, cfg.openness_train, np.random.default_rng(seed)))
             slot.start(slot.session.reset(), cfg, self.slot_rng)
             self.slots.append(slot)
-
-    def init_params(self):
-        """Initial (value, agent-model) parameters; no agent model for QL."""
-        rng = np.random.default_rng(self.seeds[0])
-        x_len, u_len, action_count = env_dims(self.cfg)
-        value = init_baseline_net(padded_input_len(self.cfg), action_count, self.cfg.net, rng)
-        if not self.with_model:
-            return value, None
-        return value, init_model_net(x_len + u_len, action_count, self.cfg.net, rng)
 
     def transition(self, trainer, value, model):
         """Act in and step every environment. Returns the step results, the

@@ -51,11 +51,9 @@ class EmbeddingStore:
 
 
 def preprocess(obs, store: EmbeddingStore, departures, arrivals, maps=None):
-    """Remove departed rows, zero-initialize arrivals, and build the batch.
-
-    Returns one concat(x_j, u) row per agent in the store's (== roster's)
-    order. A new episode starts from a fresh store with every agent arriving.
-    """
+    """Remove departed rows and zero-initialize arrivals, so the maps list
+    `obs`'s roster in its order. A new episode starts from a fresh store with
+    every agent arriving."""
     zeros = np.zeros(store.dim)
     for which in maps or EmbeddingStore.MAPS:
         m = store.map(which)
@@ -74,7 +72,6 @@ def preprocess(obs, store: EmbeddingStore, departures, arrivals, maps=None):
             reordered = {agent_id: m[agent_id] for agent_id in obs.order}
             m.clear()
             m.update(reordered)
-    return obs.batch_rows()
 
 
 def stacked(stores, which: str):
@@ -99,10 +96,12 @@ def embed_rows(params, batch, h, c, prefix="embed."):
 
 
 class Teams:
-    """Row bookkeeping for several teams stacked into one batch."""
+    """The input rows of several teams stacked into one batch (one
+    concat(x_j, u) row per agent, in roster order), with their bookkeeping."""
 
-    def __init__(self, obs_list, batches):
+    def __init__(self, obs_list):
         self.obs = list(obs_list)
+        batches = [obs.batch_rows() for obs in self.obs]
         self.rows = np.concatenate(batches, axis=0)
         self.slices, self.groups, self.learner_rows = [], [], []
         start = 0
@@ -133,8 +132,8 @@ def agent_model_step(params, obs, store: EmbeddingStore, departures, arrivals):
     Returns every agent's predicted action distribution (None when the
     learner is alone) and the rows of the learner's teammates.
     """
-    batch = preprocess(obs, store, departures, arrivals, maps=("model",))
-    teams = Teams([obs], [batch])
+    preprocess(obs, store, departures, arrivals, maps=("model",))
+    teams = Teams([obs])
     hm, cm, probs = agent_model_forward(params, teams, stacked([store], "model"))
     store.write("model", hm.data, cm.data)
     return probs, teams.mates

@@ -32,10 +32,10 @@ import numpy as np
 
 from .. import nn
 from .. import tensor as T
-from ..config import RunConfig
+from ..config import GPL_ALGORITHMS, RunConfig
 from ..envs.session import make_session
 from ..tensor import Tape, Tensor, backward
-from .baseline import PaddedStep
+from .baseline import PaddedStep, init_baseline_net, padded_input_len
 from .model import (
     EmbeddingStore,
     Teams,
@@ -59,7 +59,6 @@ from .values import (
     value_loss,
 )
 
-GPL_ALGORITHMS = ("GPL-Q", "GPL-SPI")
 # The recurrences `GplPolicy` acts with; the target copy is training's own.
 POLICY_MAPS = ("value", "model")
 # Supervised agent-model fit: peak Adam step size and targets per update.
@@ -86,6 +85,29 @@ class TransitionRecord:
 class TrainResult:
     stores: dict
     records: list
+
+
+def init_params(cfg: RunConfig, rng):
+    """Initial (value, agent model) parameters of the configured algorithm,
+    drawn from `rng` in that order; QL has no agent model (None)."""
+    x_len, u_len, action_count = env_dims(cfg)
+    if cfg.algorithm in GPL_ALGORITHMS:
+        value = init_value_net(x_len + u_len, action_count, cfg.net, rng)
+    else:
+        value = init_baseline_net(padded_input_len(cfg), action_count, cfg.net, rng)
+    if cfg.algorithm == "QL":
+        return value, None
+    return value, init_model_net(x_len + u_len, action_count, cfg.net, rng)
+
+
+def mean_ci(returns):
+    """Mean of `returns` and the half-width of its 95% confidence interval
+    (0 for one value); (None, None) when there are none."""
+    n = len(returns)
+    if not n:
+        return None, None
+    ci = float(1.96 * np.std(returns, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(returns)), ci
 
 
 @dataclass
@@ -146,15 +168,6 @@ class GplStep:
             self._start_episode(slot)
             self.slots.append(slot)
 
-    def init_params(self):
-        """Initial (value, agent-model) parameters."""
-        rng = np.random.default_rng(self.seeds[0])
-        x_len, u_len, action_count = env_dims(self.cfg)
-        return (
-            init_value_net(x_len + u_len, action_count, self.cfg.net, rng),
-            init_model_net(x_len + u_len, action_count, self.cfg.net, rng),
-        )
-
     def _start_episode(self, slot):
         slot.obs = slot.session.reset()
         slot.store = EmbeddingStore(self.cfg.net.embedding_dim)
@@ -170,7 +183,7 @@ class GplStep:
         else:
             explore = cfg.epsilon.value(trainer.global_step, cfg.total_steps)
         obs_list = [slot.obs for slot in self.slots]
-        teams = Teams(obs_list, [obs.batch_rows() for obs in obs_list])
+        teams = Teams(obs_list)
         stores = [slot.store for slot in self.slots]
         value_state, model_state = stacked(stores, "value"), stacked(stores, "model")
         out = team_forward(value, model, teams, value_state, model_state, cfg.net.rank)
@@ -183,14 +196,13 @@ class GplStep:
 
         # Advance the online recurrent state (detached between iterations),
         # then follow each continuing environment to its next roster.
-        ahead = []  # s' input rows of the continuing environments
         for (lo, hi), slot, res in zip(teams.slices, self.slots, results):
             slot.store.write("value", out.hq.data[lo:hi], out.cq.data[lo:hi])
             slot.store.write("model", out.hm.data[lo:hi], out.cm.data[lo:hi])
             if not res.done:
                 slot.obs = res.obs
-                ahead.append(preprocess(res.obs, slot.store, res.departures, res.arrivals))
-        targets = self._targets(trainer, results, ahead)
+                preprocess(res.obs, slot.store, res.departures, res.arrivals)
+        targets = self._targets(trainer, results)
 
         taken = [res.joint_action[j] for obs, res in zip(teams.obs, results) for j in obs.order]
         joint = joint_values(out.singular, out.factors, taken, teams.slices, cfg.net.rank)
@@ -200,17 +212,16 @@ class GplStep:
             trainer.record_nll(float(nll.data), len(teams.mates))
         return results, joint, targets, nll
 
-    def _targets(self, trainer, results, batches):
+    def _targets(self, trainer, results):
         """Bootstrapped targets from the target-parameter pathway at s', from
-        the stores already realigned to the s' rosters and the s' input rows
-        `batches` of the continuing environments."""
+        the stores already realigned to the s' rosters."""
         cfg = self.cfg
         targets = [float(res.reward) for res in results]
         live = [e for e, res in enumerate(results) if not res.done]
         if not live:
             return targets
 
-        ahead = Teams([results[e].obs for e in live], batches)
+        ahead = Teams([results[e].obs for e in live])
         stores = [self.slots[e].store for e in live]
         nxt = team_forward(
             trainer.target_params,
@@ -240,7 +251,8 @@ class Trainer:
         cfg.validate()
         self.cfg = cfg
         self.step = GplStep(cfg) if cfg.algorithm in GPL_ALGORITHMS else PaddedStep(cfg)
-        self.value_params, self.model_params = self.step.init_params()
+        rng = np.random.default_rng(self.step.seeds[0])
+        self.value_params, self.model_params = init_params(cfg, rng)
         self.target_params = self.value_params.replace({})
         self.opt_value = nn.AdamState(lr=cfg.lr)
         self.opt_model = nn.AdamState(lr=cfg.lr)
@@ -277,16 +289,9 @@ class Trainer:
 
     def window_stats(self) -> dict:
         """Learning signals since the previous call, which resets them."""
-        returns = self.window_returns
-        n = len(returns)
-        mean = float(np.mean(returns)) if n else None
-        ci = None
-        if n > 1:
-            ci = float(1.96 * np.std(returns, ddof=1) / np.sqrt(n))
-        elif n == 1:
-            ci = 0.0
+        mean, ci = mean_ci(self.window_returns)
         stats = {
-            "episodes": n,
+            "episodes": len(self.window_returns),
             "mean_return": mean,
             "ci95": ci,
             "agent_model_nll": (
@@ -386,12 +391,12 @@ class GplPolicy:
     def act(self, obs) -> int:
         # No roster change here (`observe` applied it): this only checks that
         # `obs` is the observation the store follows.
-        batch = preprocess(obs, self.store, [], [], POLICY_MAPS)
+        preprocess(obs, self.store, [], [], POLICY_MAPS)
         rank = self.cfg.net.rank
         out = team_forward(
             self.value_params,
             self.model_params,
-            Teams([obs], [batch]),
+            Teams([obs]),
             stacked([self.store], "value"),
             stacked([self.store], "model"),
             rank,

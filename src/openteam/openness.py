@@ -9,7 +9,7 @@ Re-entry blocked by a full team waits FIFO until space opens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 LEARNER_ID = 0
 LEARNER_TYPE = "learner"

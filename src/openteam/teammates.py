@@ -21,7 +21,6 @@ from .envs.base import (
     STAY,
     UP,
     WOLF_ACTIONS,
-    in_bounds,
     manhattan,
     neighbors4,
 )
@@ -39,7 +38,6 @@ LBF_TYPES = (
     "lbf.H8",
     "lbf.H9",
 )
-ALL_TYPES = WOLF_TYPES + LBF_TYPES
 
 WAITING_RADII = (3, 4, 5)
 WINDOW_SIZES = (3, 5, 7)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -14,7 +15,7 @@ from openteam.config import (
     config_to_dict,
     default_config,
 )
-from openteam.harness import checkpoint
+from openteam.harness import checkpoint, run
 from openteam.harness.analyze import action_mean, analyze_pairwise, deviation
 from openteam.harness.checkpoint import (
     CheckpointError,
@@ -23,7 +24,13 @@ from openteam.harness.checkpoint import (
 )
 from openteam.harness.cli import cli
 from openteam.harness.metrics import MetricRecord, read_records
-from openteam.harness.run import evaluate, load_config, random_policy_record, run_training
+from openteam.harness.run import (
+    config_hash,
+    evaluate,
+    load_config,
+    random_policy_record,
+    run_training,
+)
 from openteam.openness import OpennessConfig
 
 SMALL_NET = NetConfig(
@@ -50,6 +57,101 @@ def tiny_cfg(algorithm="GPL-Q", env="wolfpack", **kw):
         openness_eval=OpennessConfig((5, 8), (2, 4), 5, pool),
     )
     return replace(cfg, **kw).validate()
+
+
+# SHA-256 of the config.json text and config_hash of every default config.
+DEFAULT_DIGESTS = {
+    ("GPL-Q", "wolfpack"): (
+        "317e60b95735137353ee8d691726bb426d0e1f5b9c61d572cab722bbf82a92ec",
+        "16af3df65e918a88",
+    ),
+    ("GPL-Q", "lbf"): (
+        "8e00c081e3769c4592b5b9e9ed907a16eb765f84bb475e85727a91c3107723e5",
+        "4b260d7ebff2880a",
+    ),
+    ("GPL-SPI", "wolfpack"): (
+        "378068d315ffa301ad8c7c8a1b5e33fb1de28f506a63fa405d632715a3d29a9d",
+        "7643fe258ec32a88",
+    ),
+    ("GPL-SPI", "lbf"): (
+        "d8fc84ec8eeeec7ef5c9967495085dc7a03602f6498d46f775676260614d5ca5",
+        "926cae3836ec9faa",
+    ),
+    ("QL", "wolfpack"): (
+        "1aebbc9a42e52e16e6e24380e75ef95b6888f391385eec4420ca9abb40ca8996",
+        "6d8bf431be7ba034",
+    ),
+    ("QL", "lbf"): (
+        "025178ff4f0da18d4560075ea969ff3b3f1b83a19f52d8417c3abadf2c6371f1",
+        "c527d278b44bd45d",
+    ),
+    ("QL-AM", "wolfpack"): (
+        "b4c639763d03cad1dc3c4214663e22283b244130eb1095427113c1b9993278cb",
+        "b41f8bce15a17de1",
+    ),
+    ("QL-AM", "lbf"): (
+        "61f5462d09e64f6f40d2d969cfa61846424542bf252ae9f64c66a7cdd7c4badb",
+        "0da4a9a7075fdbc0",
+    ),
+}
+
+
+def as_json(data):
+    return json.loads(json.dumps(data))
+
+
+def lookup(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def every_field_changed(env):
+    """A valid config that differs from `default_config(env)` in every key."""
+    base = default_config(env)
+    pool = base.openness_train.type_pool[:2]
+    return replace(
+        base,
+        env=replace(
+            base.env,
+            width=base.env.width + 1,
+            height=base.env.height + 2,
+            horizon=30,
+            n_objects=4,
+            prey_count=3,
+        ),
+        openness_train=OpennessConfig((5, 8), (2, 4), 2, pool),
+        openness_eval=OpennessConfig((6, 9), (3, 5), 4, pool),
+        algorithm="QL-AM",
+        net=NetConfig(8, (8, 6), (5, 6), (5, 7), (5,), 2),
+        gamma=0.9,
+        tau=0.3,
+        lr=1e-3,
+        epsilon=EpsilonSchedule(0.8, 0.1, 0.5),
+        parallel_envs=2,
+        total_steps=24,
+        update_interval=2,
+        polyak_alpha=0.01,
+        checkpoint_interval=12,
+        max_team_pad=6,
+        seed=7,
+    ).validate()
+
+
+def _optional_keys(data, path=()):
+    """Every key path a config dict may omit; an openness section counts as
+    one key, since it needs all of its own."""
+    for key, value in data.items():
+        here = (*path, key)
+        if here == ("environment", "name"):
+            continue
+        if isinstance(value, dict) and path != ("openness",):
+            yield from _optional_keys(value, here)
+        else:
+            yield here
+
+
+OPTIONAL_KEYS = list(_optional_keys(config_to_dict(default_config("wolfpack"))))
 
 
 class TestConfig:
@@ -84,6 +186,56 @@ class TestConfig:
             tiny_cfg(algorithm="GPL-SPI", tau=0.0)
         with pytest.raises(ConfigError):
             config_from_dict({"environment": {"name": "chess"}})
+
+    @pytest.mark.parametrize("pair", sorted(DEFAULT_DIGESTS), ids="-".join)
+    def test_default_config_layout_is_frozen(self, pair, tmp_path, monkeypatch):
+        # config_hash stamps every checkpoint, so neither may change.
+        monkeypatch.setattr(run, "train", lambda cfg, on_record: None)
+        cfg = default_config(pair[1], pair[0])
+        text = (run_training(cfg, tmp_path) / "config.json").read_bytes()
+        digest = hashlib.sha256(text).hexdigest()
+        assert (digest, config_hash(cfg)) == DEFAULT_DIGESTS[pair]
+
+    @pytest.mark.parametrize("path", OPTIONAL_KEYS, ids=".".join)
+    def test_omitted_key_loads_the_default(self, path):
+        for env in ("wolfpack", "lbf"):
+            changed = as_json(config_to_dict(every_field_changed(env)))
+            default = as_json(config_to_dict(default_config(env)))
+            assert lookup(changed, path) != lookup(default, path)
+            data = as_json(changed)
+            del lookup(data, path[:-1])[path[-1]]
+            expected = as_json(changed)
+            lookup(expected, path[:-1])[path[-1]] = lookup(default, path)
+            assert as_json(config_to_dict(config_from_dict(data))) == expected, env
+
+    def test_missing_environment_name_rejected(self):
+        data = config_to_dict(tiny_cfg())
+        del data["environment"]["name"]
+        with pytest.raises(ConfigError, match="malformed config: 'name'"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["active", "waiting", "team_limit", "type_pool"])
+    def test_openness_section_needs_every_key(self, key):
+        data = config_to_dict(tiny_cfg())
+        del data["openness"]["eval"][key]
+        with pytest.raises(ConfigError, match=f"malformed config: '{key}'"):
+            config_from_dict(data)
+
+    def test_unknown_keys_ignored(self):
+        cfg = tiny_cfg()
+        data = config_to_dict(cfg)
+        for section in (data, data["environment"], data["network"], data["training"]):
+            section["bogus"] = 1
+        data["training"]["seed"] = 99  # the seed is a top-level key
+        data["training"]["epsilon"]["bogus"] = 1
+        assert config_from_dict(data) == cfg
+
+    def test_team_pad_binds_only_the_padded_baselines(self):
+        for algorithm in ("QL", "QL-AM"):
+            with pytest.raises(ConfigError, match="padded input"):
+                tiny_cfg(algorithm, max_team_pad=4)
+        for algorithm in ("GPL-Q", "GPL-SPI"):
+            assert tiny_cfg(algorithm, max_team_pad=4).max_team_pad == 4
 
 
 class TestCheckpoint:
@@ -310,6 +462,29 @@ class TestCli:
             == 0
         )
         assert out.exists()
+
+    def test_bad_openness_range_exits_2(self, tmp_path, capsys):
+        data = config_to_dict(tiny_cfg())
+        data["openness"]["train"]["active"] = [5, 2]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert cli(["eval", "--checkpoint", "x", "--config", str(path), "--episodes", "1"]) == 2
+        assert capsys.readouterr().err.count("invalid duration range [5, 2]") == 2
+
+    def test_eval_team_limit_is_validated(self, tmp_path, capsys):
+        for algorithm, limit, rc, message in (
+            ("QL", "0", 2, "team limit must be >= 1"),
+            ("QL", "8", 2, "padded input must cover the largest team limit"),
+            ("GPL-Q", "8", 0, '"episodes":1'),
+        ):
+            cfg = tiny_cfg(algorithm, total_steps=0)
+            run_dir = run_training(cfg, tmp_path / f"{algorithm}-{limit}")
+            args = ["eval", "--checkpoint", os.path.join(run_dir, "ckpt_000000000.otck")]
+            args += ["--config", os.path.join(run_dir, "config.json"), "--episodes", "1"]
+            assert cli(args + ["--team-limit", limit]) == rc, (algorithm, limit)
+            captured = capsys.readouterr()
+            assert message in captured.out + captured.err
 
     def test_zero_episodes_usage_error(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)

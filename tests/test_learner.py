@@ -8,6 +8,7 @@ from openteam.config import NetConfig
 from openteam.envs.base import EnvConfig, Observation
 from openteam.learner.model import (
     EmbeddingStore,
+    Teams,
     agent_model_step,
     embed_rows,
     init_model_net,
@@ -125,7 +126,9 @@ class TestPreprocess:
     def test_batch_rows_follow_store_order(self):
         store = EmbeddingStore(3)
         obs = obs_for([0, 4, 2])
-        batch = preprocess(obs, store, [], [0, 4, 2])
+        preprocess(obs, store, [], [0, 4, 2])
+        batch = Teams([obs]).rows
+        assert list(store.value) == [0, 4, 2]
         expect = np.stack([np.concatenate([obs.x[j], obs.u]) for j in (0, 4, 2)])
         assert np.array_equal(batch, expect)
 
@@ -144,7 +147,8 @@ class TestEmbedTypes:
         )
         store = EmbeddingStore(4)
         obs = obs_for([0, 1])
-        batch = preprocess(obs, store, [], [0, 1])
+        preprocess(obs, store, [], [0, 1])
+        batch = Teams([obs]).rows
         h, c = embed_rows(params, batch, *stacked([store], "value"))
         assert np.all(h.data == 0) and np.all(c.data == 0)
 
@@ -379,7 +383,8 @@ class TestMarginalQ:
         params_m = init_model_net(6, 4, NET, rng)
         store = EmbeddingStore(NET.embedding_dim)
         obs = obs_for([0, 1, 2])
-        batch = preprocess(obs, store, [], [0, 1, 2])
+        preprocess(obs, store, [], [0, 1, 2])
+        batch = Teams([obs]).rows
         for j in store.value:
             store.value[j] = (rng.normal(size=NET.embedding_dim), rng.normal(size=NET.embedding_dim))
             store.model[j] = (rng.normal(size=NET.embedding_dim), rng.normal(size=NET.embedding_dim))

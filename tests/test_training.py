@@ -29,6 +29,8 @@ from openteam.learner.trainer import (
     GplPolicy,
     Trainer,
     collect_transitions,
+    init_params,
+    mean_ci,
     supervised_steps,
     train,
     train_agent_model_supervised,
@@ -118,6 +120,23 @@ class TestTrainLoop:
         assert first["episodes"] > 0
         second = trainer.window_stats()
         assert second["episodes"] == 0 and second["mean_return"] is None
+
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
+    def test_init_params_builds_the_trainer_stores(self, algorithm):
+        cfg = tiny_cfg(algorithm)
+        value, model = init_params(cfg, np.random.default_rng(0))
+        stores = Trainer(cfg).stores()
+        assert value.shapes() == stores["value"].shapes()
+        assert (model is None) == (algorithm == "QL") == ("agent_model" not in stores)
+        if model is not None:
+            assert model.shapes() == stores["agent_model"].shapes()
+
+    def test_mean_ci(self):
+        assert mean_ci([]) == (None, None)
+        assert mean_ci([2.5]) == (2.5, 0.0)
+        returns = [1.0, -2.0, 4.0, 0.5]
+        half_width = 1.96 * np.std(returns, ddof=1) / 2.0
+        assert mean_ci(returns) == (0.875, pytest.approx(half_width, rel=1e-15))
 
 
 class TestSharedForward:
