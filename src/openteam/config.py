@@ -174,16 +174,27 @@ def config_to_dict(cfg: RunConfig) -> dict:
 _MISSING = object()
 
 
-def _merged(base, section: dict, names=None):
-    """`base` with each field (of `names`, when given) that `section` holds
-    replaced by its value, cast to the type of the value it replaces; nested
-    dataclasses merge their own sections. Other keys are ignored."""
+def _object(section, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {where!r} must be a JSON object")
+    return section
+
+
+def _merged(base, section, where: str, names=None):
+    """`base` with each field (of `names`, when given) that `section` (named
+    `where`) holds replaced by its value, cast to the type of the value it
+    replaces; nested dataclasses merge their own sections. Other keys are
+    ignored."""
+    section = _object(section, where)
     changes = {}
     for name in names or [f.name for f in fields(base)]:
         new = section.get(name, _MISSING)
         if new is not _MISSING:
             old = getattr(base, name)
-            changes[name] = _merged(old, new) if is_dataclass(old) else type(old)(new)
+            if is_dataclass(old):
+                changes[name] = _merged(old, new, f"{where}.{name}")
+            else:
+                changes[name] = type(old)(new)
     return replace(base, **changes)
 
 
@@ -191,17 +202,17 @@ def config_from_dict(data: dict) -> RunConfig:
     """The config that `data` describes; omitted keys and sections take the
     values of `default_config` for its environment and algorithm."""
     try:
-        env_section = data["environment"]
+        env_section = _object(data["environment"], "environment")
         base = default_config(env_section["name"], data.get("algorithm", RunConfig.algorithm))
-        cfg = replace(base, env=_merged(base.env, env_section))
-        openness = data.get("openness", {})
-        if "train" in openness:
-            cfg = replace(cfg, openness_train=_openness_from_dict(openness["train"]))
-        if "eval" in openness:
-            cfg = replace(cfg, openness_eval=_openness_from_dict(openness["eval"]))
-        cfg = replace(cfg, net=_merged(base.net, data.get("network", {})))
-        cfg = _merged(cfg, data.get("training", {}), _TRAINING)
-        cfg = _merged(cfg, data, ("seed",))
+        cfg = replace(base, env=_merged(base.env, env_section, "environment"))
+        openness = _object(data.get("openness", {}), "openness")
+        for key in ("train", "eval"):
+            if key in openness:
+                section = _object(openness[key], f"openness.{key}")
+                cfg = replace(cfg, **{f"openness_{key}": _openness_from_dict(section)})
+        cfg = replace(cfg, net=_merged(base.net, data.get("network", {}), "network"))
+        cfg = _merged(cfg, data.get("training", {}), "training", _TRAINING)
+        cfg = _merged(cfg, data, "config", ("seed",))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -45,13 +45,6 @@ class OpenEnv:
     def action_count(self) -> int:
         return len(self.actions)
 
-    @property
-    def obs_dims(self):
-        """(per-agent x length, shared u length)."""
-        if self.is_lbf:
-            return 3, 3 * self.env_cfg.n_objects
-        return 2, 2 * self.env_cfg.prey_count
-
     def reset(self) -> Observation:
         self.roster = reset_roster(self.rng, self.openness)
         self.memories = {

@@ -9,9 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..config import GPL_ALGORITHMS, ConfigError, RunConfig, config_from_dict, config_to_dict
+from ..config import ConfigError, RunConfig, config_from_dict, config_to_dict
 from ..envs.session import make_session
-from ..learner.baseline import BaselinePolicy
 from ..learner.trainer import GplPolicy, init_params, mean_ci, train
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, shape_diff
 from .metrics import MetricRecord, append_record
@@ -99,10 +98,7 @@ def evaluate(
     env_rng = np.random.default_rng(seeds[0])
     policy_rng = np.random.default_rng(seeds[1])
     session = make_session(cfg.env, cfg.openness_eval, env_rng)
-    if cfg.algorithm in GPL_ALGORITHMS:
-        policy = GplPolicy(cfg, stores["value"], stores["agent_model"], policy_rng)
-    else:
-        policy = BaselinePolicy(cfg, stores["value"], stores.get("agent_model"), policy_rng)
+    policy = GplPolicy(cfg, stores["value"], stores.get("agent_model"), policy_rng)
 
     returns = []
     for _ in range(episodes):

@@ -25,9 +25,11 @@ from .values import model_rows
 
 def env_dims(cfg) -> tuple[int, int, int]:
     """(per-agent x width, shared u width, action count) of the configured
-    environment, read from a probe session."""
+    environment, read off the first observation of a probe session (with a
+    stream of its own, apart from every run's)."""
     probe = make_session(cfg.env, cfg.openness_train, np.random.default_rng(0))
-    return (*probe.obs_dims, probe.action_count)
+    obs = probe.reset()
+    return len(obs.x[obs.learner_id]), len(obs.u), probe.action_count
 
 
 class EmbeddingStore:

@@ -1,27 +1,33 @@
 """Synchronous training over parallel open-team environments.
 
-`Trainer` runs every algorithm. Each iteration advances all environments by
-one step: a step object (`GplStep` here, `baseline.PaddedStep` for the
-padded-input baselines) acts, steps the environments and returns the value
-of each taken action, its TD target and the teammate-action NLL. The trainer
-turns these into losses, accumulates their gradients over a configured
-number of iterations and applies them with Adam; the value-side target copy
-tracks the online parameters by Polyak averaging every iteration. It also
-keeps the episode returns and learning signals of the metric window.
+`Trainer` runs every algorithm with one iteration. It acts in and steps
+every environment, follows each continuing one to its next roster, restarts
+finished episodes, runs the agent model once per pathway over the stacked
+rosters of all environments (`model_pass`) and builds the TD targets. It
+turns the value of the actions taken, their targets and the teammate-action
+NLL into losses, accumulates their gradients over a configured number of
+iterations and applies them with Adam; the value-side target copy tracks
+the online parameters by Polyak averaging every iteration. It also keeps
+the episode returns and learning signals of the metric window.
 
-For GPL the rows of all environments are stacked into one batch.
-`team_forward` runs the per-agent passes (embeddings, utility heads, the
-message-passing model) once over that batch and marginalizes each team's
-rows into its learner's action values; `GplPolicy` acts with the same
-function on one environment. Joint values and losses are batched too, with
-per-team segment sums.
+The algorithms differ only in their value side, a step object: `GplStep`
+for the coordination-graph learner (GPL-Q / GPL-SPI), `baseline.PaddedStep`
+for the padded-input baselines (QL / QL-AM). A step object starts and
+follows an environment's slot (`begin`, `follow`), turns observations and
+teammate predictions into each learner's action values (`values`) and
+gives the value of the actions taken (`taken`). `GplPolicy` runs the same
+code on one environment to act for every algorithm.
 
-Every environment's `EmbeddingStore` follows its roster: right after a step
-the online states are written and all three maps are realigned to the next
-roster (`preprocess`). The target pathway keeps its own recurrent state,
-advanced at s' with the target parameters, while the s' teammate
-distributions come from the online agent model (advanced one step ahead of
-its stored states and then discarded).
+For GPL the rows of all environments are stacked into one batch: the
+embeddings and utility heads run once over it, and each team's rows are
+marginalized into its learner's action values. Joint values and losses are
+batched too, with per-team segment sums.
+
+Every slot follows its roster: right after a step its stores are realigned
+to the next roster (`preprocess`). The target pathway keeps its own
+recurrent state, advanced at s' with the target parameters, while the s'
+teammate distributions come from the online agent model (advanced one step
+ahead of its stored states and then discarded).
 """
 
 from __future__ import annotations
@@ -35,10 +41,11 @@ from .. import tensor as T
 from ..config import GPL_ALGORITHMS, RunConfig
 from ..envs.session import make_session
 from ..tensor import Tape, Tensor, backward
-from .baseline import PaddedStep, init_baseline_net, padded_input_len
+from .baseline import PaddedStep, SlotMap, init_baseline_net, padded_input_len
 from .model import (
     EmbeddingStore,
     Teams,
+    agent_model_forward,
     agent_model_step,
     embed_rows,
     env_dims,
@@ -51,6 +58,7 @@ from .values import (
     UtilityTables,
     act,
     agent_model_loss,
+    greedy,
     joint_values,
     marginal_values,
     model_rows,
@@ -59,8 +67,6 @@ from .values import (
     value_loss,
 )
 
-# The recurrences `GplPolicy` acts with; the target copy is training's own.
-POLICY_MAPS = ("value", "model")
 # Supervised agent-model fit: peak Adam step size and targets per update.
 SUPERVISED_LR = 2e-3
 SUPERVISED_GROUP = 16
@@ -111,148 +117,113 @@ def mean_ci(returns):
 
 
 @dataclass
-class TeamForward:
-    hq: Tensor
-    cq: Tensor
-    hm: Tensor
-    cm: Tensor
-    singular: Tensor
-    factors: Tensor
-    probs: Tensor
-    qbars: list
-
-
-def team_forward(value_params, model_params, teams: Teams, value_state, model_state, rank):
-    """The per-team GPL forward, shared by training and acting.
-
-    Advances the value and agent-model recurrences one step from (h, c)
-    states aligned with `teams.rows`, computes every agent's utility rows
-    and predicted action distribution, and marginalizes each team's joint
-    values over its teammates' distributions into its learner's action
-    values (`qbars`, one array per team).
-    """
-    hq, cq = embed_rows(value_params, teams.rows, *value_state)
-    hm, cm = embed_rows(model_params, teams.rows, *model_state)
-    sing, fac = utility_rows(value_params, hq, teams.learner_rows)
-    probs = model_rows(model_params, hm, teams.groups)
-    qbars = []
-    for lo, hi in teams.slices:
-        learner = teams.learner_rows[lo]
-        mates = [r for r in range(lo, hi) if r != learner]
-        team = (sing.data[lo:hi], fac.data[lo:hi], probs.data[mates])
-        qbars.append(marginal_values(*team, learner - lo, rank))
-    return TeamForward(hq, cq, hm, cm, sing, fac, probs, qbars)
-
-
-@dataclass
 class _Slot:
-    session: object
-    store: EmbeddingStore = None  # aligned with `obs.order`
+    """One environment's acting state."""
+
+    session: object  # None when a policy acts
     obs: object = None
+    store: EmbeddingStore = None  # GPL: value/model/target maps; QL-AM: model map
+    slot_map: SlotMap = None  # baselines only
+    states: dict = None  # baselines only: pathway -> (h, c) of the value recurrence
+
+
+def joint_actions(teams: Teams, results) -> list:
+    """Every agent's action in `results`, in the row order of `teams`."""
+    return [res.joint_action[j] for obs, res in zip(teams.obs, results) for j in obs.order]
+
+
+def model_pass(params, slots, write):
+    """One agent-model step over the stacked rosters of `slots`.
+
+    Returns (their `Teams`, every agent's predicted action distribution),
+    or (None, None) without an agent model (QL). The new states are written
+    back when `write` (the online pathway) and dropped otherwise (the target
+    pathway, which reads the s' distributions one step ahead).
+    """
+    if params is None:
+        return None, None
+    teams = Teams([slot.obs for slot in slots])
+    stores = [slot.store for slot in slots]
+    h, c, probs = agent_model_forward(params, teams, stacked(stores, "model"))
+    if write:
+        for (lo, hi), store in zip(teams.slices, stores):
+            store.write("model", h.data[lo:hi], c.data[lo:hi])
+    return teams, probs
 
 
 class GplStep:
-    """The coordination-graph learner's (GPL-Q / GPL-SPI) part of a
-    `Trainer` iteration."""
+    """The coordination-graph learner's (GPL-Q / GPL-SPI) value side of an
+    iteration."""
 
     store_order = ("value", "agent_model", "target_value")
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.mode = "QL" if cfg.algorithm == "GPL-Q" else "SPI"
-        self.seeds = np.random.SeedSequence(cfg.seed).spawn(3 + cfg.parallel_envs)
-        self.learner_rng = np.random.default_rng(self.seeds[1])
-        self.slots = []
-        for seed in self.seeds[3:]:
-            slot = _Slot(make_session(cfg.env, cfg.openness_train, np.random.default_rng(seed)))
-            self._start_episode(slot)
-            self.slots.append(slot)
 
-    def _start_episode(self, slot):
-        slot.obs = slot.session.reset()
+    def begin(self, slot, obs):
+        """Fresh episode state at the episode's first observation `obs`."""
+        slot.obs = obs
         slot.store = EmbeddingStore(self.cfg.net.embedding_dim)
-        preprocess(slot.obs, slot.store, [], slot.obs.order)
+        preprocess(obs, slot.store, [], obs.order)
 
-    def transition(self, trainer, value, model):
-        """Act in and step every environment. Returns the step results, each
-        team's joint value of the actions taken, their TD targets and the
-        summed teammate-action NLL (None when no teammate acted)."""
-        cfg = self.cfg
-        if self.mode == "SPI":
-            explore = cfg.tau
-        else:
-            explore = cfg.epsilon.value(trainer.global_step, cfg.total_steps)
-        obs_list = [slot.obs for slot in self.slots]
-        teams = Teams(obs_list)
-        stores = [slot.store for slot in self.slots]
-        value_state, model_state = stacked(stores, "value"), stacked(stores, "model")
-        out = team_forward(value, model, teams, value_state, model_state, cfg.net.rank)
+    def follow(self, slot, res):
+        """Move on to the observation of step result `res`, realigning every
+        recurrence to its roster."""
+        slot.obs = res.obs
+        preprocess(res.obs, slot.store, res.departures, res.arrivals)
 
-        actions = []
-        for qbar in out.qbars:
-            actions.append(act(qbar, self.mode, explore, self.learner_rng))
-            trainer.record_qbar(qbar)
-        results = [slot.session.step(a) for slot, a in zip(self.slots, actions)]
+    def values(self, params, slots, teams, probs, which):
+        """Every slot's learner action values: advances the value recurrence
+        of pathway `which` one step, computes every agent's utility rows and
+        marginalizes each team's joint values over its teammates'
+        distributions `probs`. Also returns (teams, singular, factor rows)."""
+        rank = self.cfg.net.rank
+        stores = [slot.store for slot in slots]
+        h, c = embed_rows(params, teams.rows, *stacked(stores, which))
+        sing, fac = utility_rows(params, h, teams.learner_rows)
+        qbars = []
+        for (lo, hi), store in zip(teams.slices, stores):
+            store.write(which, h.data[lo:hi], c.data[lo:hi])
+            learner = teams.learner_rows[lo]
+            mates = [r for r in range(lo, hi) if r != learner]
+            team = (sing.data[lo:hi], fac.data[lo:hi], probs.data[mates] if mates else None)
+            qbars.append(marginal_values(*team, learner - lo, rank))
+        return qbars, (teams, sing, fac)
 
-        # Advance the online recurrent state (detached between iterations),
-        # then follow each continuing environment to its next roster.
-        for (lo, hi), slot, res in zip(teams.slices, self.slots, results):
-            slot.store.write("value", out.hq.data[lo:hi], out.cq.data[lo:hi])
-            slot.store.write("model", out.hm.data[lo:hi], out.cm.data[lo:hi])
-            if not res.done:
-                slot.obs = res.obs
-                preprocess(res.obs, slot.store, res.departures, res.arrivals)
-        targets = self._targets(trainer, results)
+    def taken(self, out, results, actions):
+        """Each team's joint value of the actions taken."""
+        teams, sing, fac = out
+        acted = joint_actions(teams, results)
+        return joint_values(sing, fac, acted, teams.slices, self.cfg.net.rank)
 
-        taken = [res.joint_action[j] for obs, res in zip(teams.obs, results) for j in obs.order]
-        joint = joint_values(out.singular, out.factors, taken, teams.slices, cfg.net.rank)
-        nll = None
-        if teams.mates:
-            nll = agent_model_loss(out.probs, teams.mates, [taken[r] for r in teams.mates])
-            trainer.record_nll(float(nll.data), len(teams.mates))
-        return results, joint, targets, nll
 
-    def _targets(self, trainer, results):
-        """Bootstrapped targets from the target-parameter pathway at s', from
-        the stores already realigned to the s' rosters."""
-        cfg = self.cfg
-        targets = [float(res.reward) for res in results]
-        live = [e for e, res in enumerate(results) if not res.done]
-        if not live:
-            return targets
-
-        ahead = Teams([results[e].obs for e in live])
-        stores = [self.slots[e].store for e in live]
-        nxt = team_forward(
-            trainer.target_params,
-            trainer.model_params,
-            ahead,
-            stacked(stores, "target"),
-            stacked(stores, "model"),
-            cfg.net.rank,
-        )
-        for (lo, hi), store, e, qbar in zip(ahead.slices, stores, live, nxt.qbars):
-            store.write("target", nxt.hq.data[lo:hi], nxt.cq.data[lo:hi])
-            targets[e] = td_target(results[e].reward, qbar, self.mode, cfg.gamma, cfg.tau)
-        return targets
-
-    def next_obs(self, results):
-        """Start a new episode in every environment whose episode ended."""
-        for slot, res in zip(self.slots, results):
-            if res.done:
-                self._start_episode(slot)
+def make_step(cfg: RunConfig, rng):
+    """The configured algorithm's step object; `rng` draws the baselines'
+    teammate slots."""
+    return GplStep(cfg) if cfg.algorithm in GPL_ALGORITHMS else PaddedStep(cfg, rng)
 
 
 class Trainer:
-    """Synchronous trainer for every algorithm: GPL-Q / GPL-SPI through
-    `GplStep`, QL / QL-AM through `baseline.PaddedStep`."""
+    """Synchronous trainer for every algorithm (see the module docstring)."""
 
     def __init__(self, cfg: RunConfig):
         cfg.validate()
         self.cfg = cfg
-        self.step = GplStep(cfg) if cfg.algorithm in GPL_ALGORITHMS else PaddedStep(cfg)
-        rng = np.random.default_rng(self.step.seeds[0])
-        self.value_params, self.model_params = init_params(cfg, rng)
+        # Child 0 draws the initial parameters, child 1 the learner's actions
+        # and child 2 the baselines' teammate slots; environment e steps with
+        # child k + e. The offset (k = 3 for GPL, 4 for the baselines, which
+        # leave child 3 unused) is historical and kept so that runs reproduce.
+        k = 3 if cfg.algorithm in GPL_ALGORITHMS else 4
+        seeds = np.random.SeedSequence(cfg.seed).spawn(k + cfg.parallel_envs)
+        self.value_params, self.model_params = init_params(cfg, np.random.default_rng(seeds[0]))
+        self.learner_rng = np.random.default_rng(seeds[1])
+        self.step = make_step(cfg, np.random.default_rng(seeds[2]))
+        self.slots = []
+        for seed in seeds[k:]:
+            slot = _Slot(make_session(cfg.env, cfg.openness_train, np.random.default_rng(seed)))
+            self.step.begin(slot, slot.session.reset())
+            self.slots.append(slot)
         self.target_params = self.value_params.replace({})
         self.opt_value = nn.AdamState(lr=cfg.lr)
         self.opt_model = nn.AdamState(lr=cfg.lr)
@@ -304,13 +275,59 @@ class Trainer:
         self._clear_window()
         return stats
 
+    def transition(self, value, model):
+        """Act in and step every environment, then follow each continuing one
+        to its next roster. Returns the step results, the value of the actions
+        taken, their TD targets and the summed teammate-action NLL (None
+        without an agent model or when no teammate acted)."""
+        cfg = self.cfg
+        step = self.step
+        if step.mode == "SPI":
+            explore = cfg.tau
+        else:
+            explore = cfg.epsilon.value(self.global_step, cfg.total_steps)
+        teams, probs = model_pass(model, self.slots, write=True)
+        qbars, out = step.values(value, self.slots, teams, probs, "value")
+
+        actions = []
+        for qbar in qbars:
+            actions.append(act(qbar, step.mode, explore, self.learner_rng))
+            self.record_qbar(qbar)
+        results = [slot.session.step(a) for slot, a in zip(self.slots, actions)]
+        for slot, res in zip(self.slots, results):
+            if not res.done:
+                step.follow(slot, res)
+        targets = self._targets(results)
+
+        nll = None
+        if teams is not None and teams.mates:
+            acted = joint_actions(teams, results)
+            nll = agent_model_loss(probs, teams.mates, [acted[r] for r in teams.mates])
+            self.record_nll(float(nll.data), len(teams.mates))
+        return results, step.taken(out, results, actions), targets, nll
+
+    def _targets(self, results):
+        """Bootstrapped targets from the target-parameter pathway at s', from
+        the slots already following the s' rosters."""
+        cfg = self.cfg
+        targets = [float(res.reward) for res in results]
+        live = [e for e, res in enumerate(results) if not res.done]
+        if not live:
+            return targets
+        slots = [self.slots[e] for e in live]
+        teams, probs = model_pass(self.model_params, slots, write=False)
+        qbars, _ = self.step.values(self.target_params, slots, teams, probs, "target")
+        for e, qbar in zip(live, qbars):
+            targets[e] = td_target(results[e].reward, qbar, self.step.mode, cfg.gamma, cfg.tau)
+        return targets
+
     def run_iteration(self):
         """One synchronous step across every environment."""
         cfg = self.cfg
         tape = Tape()
         value = self.value_params.bind(tape)
         model = self.model_params.bind(tape) if self.model_params is not None else None
-        results, taken, targets, nll = self.step.transition(self, value, model)
+        results, taken, targets, nll = self.transition(value, model)
 
         scale = 1.0 / (len(results) * cfg.update_interval)
         v_loss = T.scalar_mul(value_loss(taken, targets), scale)
@@ -335,12 +352,12 @@ class Trainer:
             self.target_params, self.value_params, cfg.polyak_alpha
         )
 
-        for e, res in enumerate(results):
+        for e, (slot, res) in enumerate(zip(self.slots, results)):
             self.episode_returns[e] += res.reward
             if res.done:
                 self.window_returns.append(self.episode_returns[e])
                 self.episode_returns[e] = 0.0
-        self.step.next_obs(results)
+                self.step.begin(slot, slot.session.reset())
 
     @staticmethod
     def _accumulate(acc, bound, grads):
@@ -374,47 +391,42 @@ def train(cfg: RunConfig, on_record=None) -> TrainResult:
 
 
 class GplPolicy:
-    """Single-environment acting for evaluation and analysis."""
+    """Single-environment acting for every algorithm, for evaluation and
+    analysis: the trainer's pass on one slot, then the greedy action
+    (sampled from the Boltzmann policy for GPL-SPI)."""
 
     def __init__(self, cfg: RunConfig, value_params, model_params, rng):
         self.cfg = cfg
         self.value_params = value_params
         self.model_params = model_params
         self.rng = rng
-        self.last_tables = None
+        self.step = make_step(cfg, rng)
+        self.slot = _Slot(None)
+        self.last_tables = None  # GPL only
         self.last_qbar = None
 
     def reset(self, obs):
-        self.store = EmbeddingStore(self.cfg.net.embedding_dim)
-        preprocess(obs, self.store, [], obs.order, POLICY_MAPS)
+        self.slot = _Slot(None)
+        self.step.begin(self.slot, obs)
 
     def act(self, obs) -> int:
-        # No roster change here (`observe` applied it): this only checks that
-        # `obs` is the observation the store follows.
-        preprocess(obs, self.store, [], [], POLICY_MAPS)
-        rank = self.cfg.net.rank
-        out = team_forward(
-            self.value_params,
-            self.model_params,
-            Teams([obs]),
-            stacked([self.store], "value"),
-            stacked([self.store], "model"),
-            rank,
-        )
-        self.store.write("value", out.hq.data, out.cq.data)
-        self.store.write("model", out.hm.data, out.cm.data)
-        qbar = out.qbars[0]
-        self.last_tables = UtilityTables(
-            obs.learner_id, list(obs.order), len(qbar), rank, out.singular, out.factors
-        )
-        self.last_qbar = qbar
-        if self.cfg.algorithm == "GPL-SPI":
+        slot = self.slot
+        if obs is not slot.obs:
+            raise ValueError("act needs the observation the policy last saw (reset or observe)")
+        teams, probs = model_pass(self.model_params, [slot], write=True)
+        qbars, out = self.step.values(self.value_params, [slot], teams, probs, "value")
+        qbar = self.last_qbar = qbars[0]
+        if isinstance(self.step, GplStep):
+            _, singular, factors = out
+            self.last_tables = UtilityTables(
+                obs.learner_id, list(obs.order), len(qbar), self.cfg.net.rank, singular, factors
+            )
+        if self.step.mode == "SPI":
             return act(qbar, "SPI", self.cfg.tau, self.rng)
-        best = np.flatnonzero(qbar == qbar.max())
-        return int(best[self.rng.integers(0, len(best))])
+        return greedy(qbar, self.rng)
 
     def observe(self, result):
-        preprocess(result.obs, self.store, result.departures, result.arrivals, POLICY_MAPS)
+        self.step.follow(self.slot, result)
 
 
 def collect_transitions(cfg: RunConfig, steps: int, seed: int) -> list:

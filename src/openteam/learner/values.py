@@ -179,7 +179,7 @@ def marginal_values(sing, fac, probs, learner_row: int, rank: int) -> np.ndarray
 
     `sing` (n, |A|) and `fac` (n, K*|A|) are the utility rows in roster
     order; `probs` (n-1, |A|) holds the teammate distributions in the same
-    order with the learner row skipped.
+    order with the learner row skipped (a lone learner needs none).
     """
     n, actions = sing.shape
     own = sing[learner_row].copy()
@@ -251,5 +251,10 @@ def act(qbar, mode, explore, rng) -> int:
         raise ValueError(f"epsilon must be in [0, 1], got {explore}")
     if rng.random() < explore:
         return int(rng.integers(0, len(q)))
+    return greedy(q, rng)
+
+
+def greedy(q, rng) -> int:
+    """An action of maximal value, ties broken uniformly with one draw."""
     best = np.flatnonzero(q == q.max())
     return int(best[rng.integers(0, len(best))])

@@ -377,59 +377,35 @@ def _bw_segment_sum(saved, g):
     return (out,)
 
 
-_FORWARD = {
-    "matmul": _fw_matmul,
-    "add": _fw_add,
-    "subtract": _fw_subtract,
-    "elementwise-multiply": _fw_multiply,
-    "scalar-multiply": _fw_scalar_multiply,
-    "concat-last-axis": _fw_concat_last,
-    "concat-first-axis": _fw_concat_first,
-    "sum-all": _fw_sum_all,
-    "sum-axis": _fw_sum_axis,
-    "mean-axis": _fw_mean_axis,
-    "transpose-2d": _fw_transpose,
-    "select-rows": _fw_select_rows,
-    "tanh": _fw_tanh,
-    "sigmoid": _fw_sigmoid,
-    "relu": _fw_relu,
-    "leaky-relu": _fw_leaky_relu,
-    "exp": _fw_exp,
-    "log": _fw_log,
-    "softmax-last-axis": _fw_softmax,
-    "max-last-axis": _fw_max_last,
-    "reshape": _fw_reshape,
-    "slice-cols": _fw_slice_cols,
-    "segment-sum": _fw_segment_sum,
+# Every operation kind with its (forward, backward) kernels; `OP_KINDS` lists
+# the kinds in this order.
+_OPS = {
+    "matmul": (_fw_matmul, _bw_matmul),
+    "add": (_fw_add, _bw_add),
+    "subtract": (_fw_subtract, _bw_subtract),
+    "elementwise-multiply": (_fw_multiply, _bw_multiply),
+    "scalar-multiply": (_fw_scalar_multiply, _bw_scalar_multiply),
+    "concat-last-axis": (_fw_concat_last, _bw_concat_last),
+    "concat-first-axis": (_fw_concat_first, _bw_concat_first),
+    "sum-all": (_fw_sum_all, _bw_sum_all),
+    "sum-axis": (_fw_sum_axis, _bw_sum_axis),
+    "mean-axis": (_fw_mean_axis, _bw_mean_axis),
+    "transpose-2d": (_fw_transpose, _bw_transpose),
+    "select-rows": (_fw_select_rows, _bw_select_rows),
+    "tanh": (_fw_tanh, _bw_tanh),
+    "sigmoid": (_fw_sigmoid, _bw_sigmoid),
+    "relu": (_fw_relu, _bw_relu),
+    "leaky-relu": (_fw_leaky_relu, _bw_leaky_relu),
+    "exp": (_fw_exp, _bw_exp),
+    "log": (_fw_log, _bw_log),
+    "softmax-last-axis": (_fw_softmax, _bw_softmax),
+    "max-last-axis": (_fw_max_last, _bw_max_last),
+    "reshape": (_fw_reshape, _bw_reshape),
+    "slice-cols": (_fw_slice_cols, _bw_slice_cols),
+    "segment-sum": (_fw_segment_sum, _bw_segment_sum),
 }
 
-_BACKWARD = {
-    "matmul": _bw_matmul,
-    "add": _bw_add,
-    "subtract": _bw_subtract,
-    "elementwise-multiply": _bw_multiply,
-    "scalar-multiply": _bw_scalar_multiply,
-    "concat-last-axis": _bw_concat_last,
-    "concat-first-axis": _bw_concat_first,
-    "sum-all": _bw_sum_all,
-    "sum-axis": _bw_sum_axis,
-    "mean-axis": _bw_mean_axis,
-    "transpose-2d": _bw_transpose,
-    "select-rows": _bw_select_rows,
-    "tanh": _bw_tanh,
-    "sigmoid": _bw_sigmoid,
-    "relu": _bw_relu,
-    "leaky-relu": _bw_leaky_relu,
-    "exp": _bw_exp,
-    "log": _bw_log,
-    "softmax-last-axis": _bw_softmax,
-    "max-last-axis": _bw_max_last,
-    "reshape": _bw_reshape,
-    "slice-cols": _bw_slice_cols,
-    "segment-sum": _bw_segment_sum,
-}
-
-OP_KINDS = tuple(_FORWARD)
+OP_KINDS = tuple(_OPS)
 
 
 def forward_op(kind: str, inputs, **kwargs) -> Tensor:
@@ -438,10 +414,10 @@ def forward_op(kind: str, inputs, **kwargs) -> Tensor:
     Identical inputs always produce bit-identical outputs. Shape errors name
     the kind and the offending shapes.
     """
-    fn = _FORWARD.get(kind)
-    if fn is None:
+    ops = _OPS.get(kind)
+    if ops is None:
         raise OpError(f"unknown operation kind: {kind!r}")
-    out_data, saved = fn(*(t.data for t in inputs), **kwargs)
+    out_data, saved = ops[0](*(t.data for t in inputs), **kwargs)
 
     tape = None
     for t in inputs:
@@ -470,7 +446,7 @@ def backward(loss: Tensor):
         g = grads.get(output_id)
         if g is None:
             continue
-        for tid, gi in zip(input_ids, _BACKWARD[kind](saved, g)):
+        for tid, gi in zip(input_ids, _OPS[kind][1](saved, g)):
             if tid is None or gi is None:
                 continue
             acc = grads.get(tid)

@@ -154,6 +154,18 @@ def _optional_keys(data, path=()):
 OPTIONAL_KEYS = list(_optional_keys(config_to_dict(default_config("wolfpack"))))
 
 
+# Per config section, an edit that makes it something other than a JSON object.
+NOT_OBJECTS = {
+    "environment": lambda d: d.update(environment=["wolfpack"]),
+    "openness": lambda d: d.update(openness=[]),
+    "openness.train": lambda d: d["openness"].update(train=3),
+    "openness.eval": lambda d: d["openness"].update(eval="x"),
+    "network": lambda d: d.update(network="x"),
+    "training": lambda d: d.update(training=[]),
+    "training.epsilon": lambda d: d["training"].update(epsilon=5),
+}
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = tiny_cfg()
@@ -229,6 +241,13 @@ class TestConfig:
         data["training"]["seed"] = 99  # the seed is a top-level key
         data["training"]["epsilon"]["bogus"] = 1
         assert config_from_dict(data) == cfg
+
+    @pytest.mark.parametrize("where", list(NOT_OBJECTS))
+    def test_section_must_be_an_object(self, where):
+        data = config_to_dict(tiny_cfg())
+        NOT_OBJECTS[where](data)
+        with pytest.raises(ConfigError, match=f"section '{where}' must be a JSON object"):
+            config_from_dict(data)
 
     def test_team_pad_binds_only_the_padded_baselines(self):
         for algorithm in ("QL", "QL-AM"):

@@ -1,16 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from openteam import nn
 from openteam import tensor as T
-from openteam.config import NetConfig
+from openteam.config import NetConfig, default_config
 from openteam.envs.base import EnvConfig, Observation
+from openteam.envs.session import make_session
 from openteam.learner.model import (
     EmbeddingStore,
     Teams,
     agent_model_step,
     embed_rows,
+    env_dims,
     init_model_net,
     init_value_net,
     preprocess,
@@ -74,6 +78,25 @@ def random_probs(rng, teammate_ids, actions=4):
     return AgentModelOutput(
         list(teammate_ids), Tensor(rng.dirichlet(np.ones(actions), size=len(teammate_ids)))
     )
+
+
+class TestEnvDims:
+    @pytest.mark.parametrize(
+        "env, key, count, widths",
+        [("lbf", "n_objects", 5, (3, 15)), ("wolfpack", "prey_count", 4, (2, 8))],
+        ids=["lbf", "wolfpack"],
+    )
+    def test_widths_come_from_the_observation(self, env, key, count, widths):
+        cfg = default_config(env)
+        cfg = replace(cfg, env=replace(cfg.env, **{key: count}))
+        x_len, u_len, action_count = env_dims(cfg)
+        assert (x_len, u_len) == widths
+        session = make_session(cfg.env, cfg.openness_train, np.random.default_rng(3))
+        obs = session.reset()
+        assert action_count == session.action_count
+        for _ in range(20):
+            assert all(len(obs.x[j]) == x_len for j in obs.order) and len(obs.u) == u_len
+            obs = session.step(0).obs
 
 
 class TestPreprocess:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,14 @@ class TestForwardOp:
     def test_unknown_kind_rejected(self):
         with pytest.raises(OpError, match="unknown"):
             forward_op("convolve", [Tensor([1.0])])
+
+    def test_op_kinds_are_the_benchmark_metrics(self):
+        # The benchmark reports one tape-node count per kind, in this order.
+        spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+        prefix = "tensor.tape_nodes."
+        names = [m["name"] for m in spec["per_layer"]]
+        declared = [name[len(prefix) :] for name in names if name.startswith(prefix)]
+        assert T.OP_KINDS == tuple(declared)
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(3)

@@ -9,9 +9,8 @@ from openteam import nn
 from openteam import tensor as T
 from openteam.config import EpsilonSchedule, NetConfig, default_config
 from openteam.envs.base import Observation
-from openteam.learner import baseline
+from openteam.learner import trainer as trainer_module
 from openteam.learner.baseline import (
-    BaselinePolicy,
     SlotMap,
     init_baseline_net,
     pad_observation,
@@ -89,8 +88,9 @@ class TestTrainLoop:
         res = train(tiny_cfg(total_steps=0))
         assert [r["global_step"] for r in res.records] == [0]
 
-    def test_fixed_seed_run_is_bit_reproducible(self):
-        cfg = tiny_cfg(total_steps=100, checkpoint_interval=50, parallel_envs=2)
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
+    def test_fixed_seed_run_is_bit_reproducible(self, algorithm):
+        cfg = tiny_cfg(algorithm, total_steps=100, checkpoint_interval=50, parallel_envs=2)
         a = train(cfg)
         b = train(cfg)
         assert a.records == b.records
@@ -126,6 +126,14 @@ class TestTrainLoop:
         cfg = tiny_cfg(algorithm)
         value, model = init_params(cfg, np.random.default_rng(0))
         stores = Trainer(cfg).stores()
+        # The store order is the checkpoint byte layout.
+        order = {
+            "GPL-Q": ["value", "agent_model", "target_value"],
+            "GPL-SPI": ["value", "agent_model", "target_value"],
+            "QL": ["value", "target_value"],
+            "QL-AM": ["value", "target_value", "agent_model"],
+        }
+        assert list(stores) == order[algorithm]
         assert value.shapes() == stores["value"].shapes()
         assert (model is None) == (algorithm == "QL") == ("agent_model" not in stores)
         if model is not None:
@@ -138,66 +146,50 @@ class TestTrainLoop:
         half_width = 1.96 * np.std(returns, ddof=1) / 2.0
         assert mean_ci(returns) == (0.875, pytest.approx(half_width, rel=1e-15))
 
+    @pytest.mark.parametrize(
+        "algorithm, k", [("GPL-Q", 3), ("GPL-SPI", 3), ("QL", 4), ("QL-AM", 4)]
+    )
+    def test_stream_layout(self, algorithm, k):
+        # Environment e steps with child k + e of the seed's spawn and the
+        # learner acts with child 1; building the trainer draws nothing else
+        # from them.
+        cfg = tiny_cfg(algorithm, parallel_envs=3, seed=7)
+        trainer = Trainer(cfg)
+        seeds = np.random.SeedSequence(7).spawn(k + 3)
+        for e, slot in enumerate(trainer.slots):
+            rng = np.random.default_rng(seeds[k + e])
+            first = make_session(cfg.env, cfg.openness_train, rng).reset()
+            assert slot.obs.order == first.order
+            assert np.array_equal(slot.obs.u, first.u)
+            for j in first.order:
+                assert np.array_equal(slot.obs.x[j], first.x[j])
+        assert trainer.learner_rng.random() == np.random.default_rng(seeds[1]).random()
+
 
 class TestSharedForward:
-    def test_trainer_and_policy_give_the_same_action_values(self):
-        # The trainer's stacked forward over all environments and
-        # GplPolicy.act on one environment are the same function; only the
-        # batch differs, which may move BLAS results in the last bits.
-        cfg = tiny_cfg(parallel_envs=3)
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "QL-AM"])
+    def test_trainer_and_policy_give_the_same_action_values(self, algorithm):
+        # The trainer's stacked pass over all environments and GplPolicy.act
+        # on one environment are the same code; only the batch differs,
+        # which may move BLAS results in the last bits.
+        cfg = tiny_cfg(algorithm, parallel_envs=3)
         trainer = Trainer(cfg)
         for _ in range(27):  # two steps into the second episodes (horizon 25)
             trainer.run_iteration()
-        teams = []
-        for slot in trainer.step.slots:
+        policies = []
+        for slot in trainer.slots:
             rng = np.random.default_rng(0)
             policy = GplPolicy(cfg, trainer.value_params, trainer.model_params, rng)
-            policy.store = copy.deepcopy(slot.store)
-            teams.append((policy, slot.obs))
-        assert any(len(obs.order) > 1 for _, obs in teams)
+            policy.slot = copy.deepcopy(replace(slot, session=None))
+            policies.append(policy)
+        assert any(len(policy.slot.obs.order) > 1 for policy in policies)
         stacked = []
         trainer.record_qbar = stacked.append
         trainer.run_iteration()
-        assert len(stacked) == len(teams)
-        for (policy, obs), qbar in zip(teams, stacked):
-            policy.act(obs)
+        assert len(stacked) == len(policies)
+        for policy, qbar in zip(policies, stacked):
+            policy.act(policy.slot.obs)
             assert np.max(np.abs(policy.last_qbar - qbar)) <= 1e-10
-
-    def test_qlam_trainer_and_policy_give_the_same_action_values(self, monkeypatch):
-        # The QL-AM trainer's online pass over all environments and
-        # BaselinePolicy.act on one environment run the same padded forward.
-        cfg = tiny_cfg("QL-AM", parallel_envs=3)
-        trainer = Trainer(cfg)
-        for _ in range(27):  # two steps into the second episodes (horizon 25)
-            trainer.run_iteration()
-        teams = []
-        for slot in trainer.step.slots:
-            rng = np.random.default_rng(0)
-            policy = BaselinePolicy(cfg, trainer.value_params, trainer.model_params, rng)
-            policy.slot = replace(
-                slot,
-                session=None,
-                slot_map=copy.deepcopy(slot.slot_map),
-                am_store=copy.deepcopy(slot.am_store),
-            )
-            teams.append((policy, slot.obs))
-        assert any(len(obs.order) > 1 for _, obs in teams)
-        stacked = []
-        trainer.record_qbar = stacked.append
-        trainer.run_iteration()
-        assert len(stacked) == len(teams)
-
-        acted = []
-        forward = baseline.ql_baseline_forward
-
-        def recording(*args):
-            acted.append(forward(*args)[0].data[0])
-            return forward(*args)
-
-        monkeypatch.setattr(baseline, "ql_baseline_forward", recording)
-        for (policy, obs), q in zip(teams, stacked):
-            policy.act(obs)
-            assert np.max(np.abs(acted[-1] - q)) <= 1e-10
 
 
 class TestBatchedAgentModel:
@@ -213,20 +205,20 @@ class TestBatchedAgentModel:
             openness_train=OpennessConfig((2, 5), (2, 4), 3, pool),
         )
         trainer = Trainer(cfg)
-        step = trainer.step
         last = []
-        next_obs = step.next_obs
+        transition = trainer.transition
 
-        def recording_next_obs(results):
-            last[:] = results
-            next_obs(results)
+        def recording_transition(value, model):
+            out = transition(value, model)
+            last[:] = out[0]
+            return out
 
-        monkeypatch.setattr(step, "next_obs", recording_next_obs)
+        monkeypatch.setattr(trainer, "transition", recording_transition)
 
         def covered():
             # Team sizes 1, 2 and 3, and a departure plus an arrival just
             # applied to a store.
-            sizes = {len(slot.obs.order) for slot in step.slots}
+            sizes = {len(slot.obs.order) for slot in trainer.slots}
             turnover = any(res.departures and res.arrivals for res in last)
             return {1, 2, 3} <= sizes and turnover
 
@@ -238,24 +230,22 @@ class TestBatchedAgentModel:
 
         params = trainer.model_params
         oracle = []
-        for slot in step.slots:
-            store = copy.deepcopy(slot.am_store)
+        for slot in trainer.slots:
+            store = copy.deepcopy(slot.store)
             probs, mates = agent_model_step(params, slot.obs, store, [], [])
             oracle.append((store, probs, mates))
 
         calls = []
 
         def recording(model, teams, state):
-            calls.append((model, teams, copy.deepcopy([s.am_store for s in step.slots])))
+            calls.append((model, teams, copy.deepcopy([s.store for s in trainer.slots])))
             out = agent_model_forward(model, teams, state)
             calls[-1] += (out[2],)
             return out
 
-        monkeypatch.setattr(baseline, "agent_model_forward", recording)
+        monkeypatch.setattr(trainer_module, "agent_model_forward", recording)
         tape = Tape()
-        results, _, _, nll = step.transition(
-            trainer, trainer.value_params.bind(tape), params.bind(tape)
-        )
+        results, _, _, nll = trainer.transition(trainer.value_params.bind(tape), params.bind(tape))
         assert len(calls) == 2
         (_, teams, _, probs), (target_model, ahead, before, ahead_probs) = calls
 
@@ -263,14 +253,14 @@ class TestBatchedAgentModel:
         # roster where the episode goes on) and summed NLL.
         expected_nll = 0.0
         for obs, res, (lo, hi), slot, (store, want, mates) in zip(
-            teams.obs, results, teams.slices, step.slots, oracle
+            teams.obs, results, teams.slices, trainer.slots, oracle
         ):
             written = copy.deepcopy(store)
             if not res.done:
                 preprocess(res.obs, written, res.departures, res.arrivals, maps=("model",))
-            assert list(slot.am_store.model) == list(written.model)
+            assert list(slot.store.model) == list(written.model)
             for j, (h, c) in written.model.items():
-                got_h, got_c = slot.am_store.model[j]
+                got_h, got_c = slot.store.model[j]
                 assert np.max(np.abs(got_h - h)) <= 1e-12
                 assert np.max(np.abs(got_c - c)) <= 1e-12
             if not mates:
@@ -283,11 +273,11 @@ class TestBatchedAgentModel:
         # Target pathway: online parameters, no store touched, and the same
         # distributions as advancing a copy of each store one step ahead.
         assert target_model is params
-        for slot, store in zip(step.slots, before):
-            assert list(slot.am_store.model) == list(store.model)
+        for slot, store in zip(trainer.slots, before):
+            assert list(slot.store.model) == list(store.model)
             for j, (h, c) in store.model.items():
-                assert np.array_equal(slot.am_store.model[j][0], h)
-                assert np.array_equal(slot.am_store.model[j][1], c)
+                assert np.array_equal(slot.store.model[j][0], h)
+                assert np.array_equal(slot.store.model[j][1], c)
         live = [e for e, res in enumerate(results) if not res.done]
         assert len(ahead.slices) == len(live)
         for (lo, hi), e in zip(ahead.slices, live):
@@ -310,18 +300,18 @@ class TestStoresFollowTheRoster:
     @pytest.mark.parametrize("algorithm", ["GPL-Q", "QL-AM", "QL"])
     def test_trainer_stores(self, algorithm):
         trainer = Trainer(self.cfg(algorithm))
-        rosters = [list(slot.obs.order) for slot in trainer.step.slots]
+        rosters = [list(slot.obs.order) for slot in trainer.slots]
         changes = 0
         for _ in range(40):
             trainer.run_iteration()
-            for e, slot in enumerate(trainer.step.slots):
+            for e, slot in enumerate(trainer.slots):
                 changes += slot.obs.order != rosters[e]
                 rosters[e] = list(slot.obs.order)
                 if algorithm == "QL":
-                    assert slot.am_store is None
+                    assert slot.store is None
                 elif algorithm == "QL-AM":
-                    assert list(slot.am_store.model) == slot.obs.order
-                    assert not slot.am_store.value and not slot.am_store.target
+                    assert list(slot.store.model) == slot.obs.order
+                    assert not slot.store.value and not slot.store.target
                 else:
                     for which in ("value", "model", "target"):
                         assert list(slot.store.map(which)) == slot.obs.order
@@ -331,14 +321,13 @@ class TestStoresFollowTheRoster:
     def test_policy_stores(self, algorithm):
         cfg = self.cfg(algorithm)
         trainer = Trainer(cfg)
-        policy_class = GplPolicy if algorithm == "GPL-Q" else BaselinePolicy
-        policy = policy_class(cfg, trainer.value_params, trainer.model_params, np.random.default_rng(0))
+        policy = GplPolicy(cfg, trainer.value_params, trainer.model_params, np.random.default_rng(0))
         session = make_session(cfg.env, cfg.openness_train, np.random.default_rng(5))
 
         def listed():
             if algorithm == "GPL-Q":
-                return [list(policy.store.value), list(policy.store.model)]
-            return [list(policy.slot.am_store.model), policy.slot.obs.order]
+                return [list(policy.slot.store.value), list(policy.slot.store.model)]
+            return [list(policy.slot.store.model), policy.slot.obs.order]
 
         changes = 0
         for _ in range(2):
@@ -352,6 +341,24 @@ class TestStoresFollowTheRoster:
                 obs, done = res.obs, res.done
             assert listed() == [obs.order, obs.order]
         assert changes >= 5
+
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
+    def test_policy_rejects_a_foreign_observation(self, algorithm):
+        cfg = self.cfg(algorithm)
+        trainer = Trainer(cfg)
+        policy = GplPolicy(cfg, trainer.value_params, trainer.model_params, np.random.default_rng(0))
+        session = make_session(cfg.env, cfg.openness_train, np.random.default_rng(5))
+        other = make_session(cfg.env, cfg.openness_train, np.random.default_rng(6))
+        obs, foreign = session.reset(), other.reset()
+        assert foreign.order != obs.order
+        policy.reset(obs)
+        with pytest.raises(ValueError):
+            policy.act(foreign)
+        res = session.step(policy.act(obs))
+        policy.observe(res)
+        with pytest.raises(ValueError):
+            policy.act(obs)  # the observation before the step it observed
+        policy.act(res.obs)
 
 
 class TestCollectTransitions:
