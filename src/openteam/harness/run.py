@@ -11,6 +11,7 @@ import numpy as np
 
 from ..config import ConfigError, RunConfig, config_from_dict, config_to_dict
 from ..envs.session import make_session
+from ..learner.model import env_dims
 from ..learner.trainer import GplPolicy, init_params, mean_ci, train
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, shape_diff
 from .metrics import MetricRecord, append_record
@@ -59,7 +60,7 @@ def run_training(cfg: RunConfig, out_dir) -> str:
 
 
 def _check_compatible(cfg: RunConfig, stores: dict):
-    value, model = init_params(cfg, np.random.default_rng(0))
+    value, model = init_params(cfg, np.random.default_rng(0), env_dims(cfg))
     expected = {"value": value.shapes()}
     if model is not None:
         expected["agent_model"] = model.shapes()

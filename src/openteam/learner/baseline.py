@@ -24,7 +24,7 @@ from .. import nn
 from .. import tensor as T
 from ..config import RunConfig
 from ..tensor import Tensor
-from .model import EmbeddingStore, embed_rows, env_dims, init_embedding, preprocess
+from .model import EmbeddingStore, embed_rows, init_embedding, preprocess
 from .values import one_hot
 
 
@@ -78,9 +78,10 @@ def pad_observation(obs, max_agents: int, slot_map: SlotMap, probs=None, width=0
     return np.concatenate([obs.x[obs.learner_id], slots, obs.u])
 
 
-def padded_input_len(cfg: RunConfig) -> int:
-    """Length of the padded input vector of the configured baseline."""
-    x_len, u_len, action_count = env_dims(cfg)
+def padded_input_len(cfg: RunConfig, dims) -> int:
+    """Length of the padded input vector of the configured baseline, from the
+    env's (x width, u width, action count) `dims` (`model.env_dims`)."""
+    x_len, u_len, action_count = dims
     block = x_len + (action_count if cfg.algorithm == "QL-AM" else 0)
     return x_len + (cfg.max_team_pad - 1) * block + u_len
 
@@ -129,15 +130,16 @@ def ql_baseline_forward(params, padded, state):
 class PaddedStep:
     """The padded-input baselines' (QL / QL-AM) value side of an iteration:
     one padded forward over all slots per pathway (see the module
-    docstring). `rng` draws the teammates' input slots."""
+    docstring). `rng` draws the teammates' input slots; `action_count` is the
+    env's."""
 
     store_order = ("value", "target_value", "agent_model")
     mode = "QL"
 
-    def __init__(self, cfg: RunConfig, rng):
+    def __init__(self, cfg: RunConfig, rng, action_count: int):
         self.cfg = cfg
         self.rng = rng
-        self.action_count = env_dims(cfg)[2]
+        self.action_count = action_count
 
     def begin(self, slot, obs):
         """Fresh episode state at the episode's first observation `obs`."""

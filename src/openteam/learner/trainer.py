@@ -93,14 +93,15 @@ class TrainResult:
     records: list
 
 
-def init_params(cfg: RunConfig, rng):
+def init_params(cfg: RunConfig, rng, dims):
     """Initial (value, agent model) parameters of the configured algorithm,
-    drawn from `rng` in that order; QL has no agent model (None)."""
-    x_len, u_len, action_count = env_dims(cfg)
+    drawn from `rng` in that order, for the env widths `dims` (`env_dims`);
+    QL has no agent model (None)."""
+    x_len, u_len, action_count = dims
     if cfg.algorithm in GPL_ALGORITHMS:
         value = init_value_net(x_len + u_len, action_count, cfg.net, rng)
     else:
-        value = init_baseline_net(padded_input_len(cfg), action_count, cfg.net, rng)
+        value = init_baseline_net(padded_input_len(cfg, dims), action_count, cfg.net, rng)
     if cfg.algorithm == "QL":
         return value, None
     return value, init_model_net(x_len + u_len, action_count, cfg.net, rng)
@@ -198,10 +199,10 @@ class GplStep:
         return joint_values(sing, fac, acted, teams.slices, self.cfg.net.rank)
 
 
-def make_step(cfg: RunConfig, rng):
+def make_step(cfg: RunConfig, rng, action_count):
     """The configured algorithm's step object; `rng` draws the baselines'
     teammate slots."""
-    return GplStep(cfg) if cfg.algorithm in GPL_ALGORITHMS else PaddedStep(cfg, rng)
+    return GplStep(cfg) if cfg.algorithm in GPL_ALGORITHMS else PaddedStep(cfg, rng, action_count)
 
 
 class Trainer:
@@ -216,9 +217,12 @@ class Trainer:
         # leave child 3 unused) is historical and kept so that runs reproduce.
         k = 3 if cfg.algorithm in GPL_ALGORITHMS else 4
         seeds = np.random.SeedSequence(cfg.seed).spawn(k + cfg.parallel_envs)
-        self.value_params, self.model_params = init_params(cfg, np.random.default_rng(seeds[0]))
+        dims = env_dims(cfg)
+        self.value_params, self.model_params = init_params(
+            cfg, np.random.default_rng(seeds[0]), dims
+        )
         self.learner_rng = np.random.default_rng(seeds[1])
-        self.step = make_step(cfg, np.random.default_rng(seeds[2]))
+        self.step = make_step(cfg, np.random.default_rng(seeds[2]), dims[2])
         self.slots = []
         for seed in seeds[k:]:
             slot = _Slot(make_session(cfg.env, cfg.openness_train, np.random.default_rng(seed)))
@@ -400,7 +404,9 @@ class GplPolicy:
         self.value_params = value_params
         self.model_params = model_params
         self.rng = rng
-        self.step = make_step(cfg, rng)
+        # Only the baselines need the action count; GPL builds without a probe.
+        gpl = cfg.algorithm in GPL_ALGORITHMS
+        self.step = make_step(cfg, rng, None if gpl else env_dims(cfg)[2])
         self.slot = _Slot(None)
         self.last_tables = None  # GPL only
         self.last_qbar = None

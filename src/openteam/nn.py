@@ -161,12 +161,6 @@ def lstm_step(params, x: Tensor, state, prefix=""):
     return h_new, c_new
 
 
-def _canonical_order(rows: np.ndarray):
-    # Rank rows by value so that edge aggregation sums contributions in an
-    # order independent of how the caller happened to index the agents.
-    return np.lexsort(rows.T[::-1])
-
-
 def graph_edges(node_values: np.ndarray, groups):
     """Edge index lists for fully connected directed graphs over row groups.
 
@@ -177,13 +171,16 @@ def graph_edges(node_values: np.ndarray, groups):
     """
     src, dst, segments = [], [], []
     agg_map = np.full(node_values.shape[0], -1, dtype=np.intp)
+    rows = node_values.tolist()
     for start, count in groups:
         if count < 1:
             raise OpError("graph_block: agent count must be >= 1")
         if count == 1:
             continue
-        local = node_values[start : start + count]
-        order = [start + int(j) for j in _canonical_order(local)]
+        # Rank rows by value (lexicographically, ties in row order) so that
+        # edge aggregation sums contributions in an order independent of how
+        # the caller happened to index the agents.
+        order = sorted(range(start, start + count), key=rows.__getitem__)
         for k in range(start, start + count):
             lo = len(src)
             for j in order:

@@ -5,6 +5,11 @@ through :func:`forward_op`, which records a node on a :class:`Tape` whenever
 one of its inputs is attached to a tape. :func:`backward` replays the tape in
 reverse to produce gradients for every attached tensor.
 
+Work off the tape (evaluation, the target pathway) runs the same kernels and
+only wraps their result: no node, no id, no conversion of an array the kernel
+already made float64. Kernels rely on numpy to reject bad shapes and only
+then work out the error message, so a valid op pays for no check.
+
 Tensors are immutable values (their arrays are marked read-only) and can be
 shared freely; a Tape belongs to one logical execution stream.
 """
@@ -113,15 +118,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _row_sum(rows: np.ndarray) -> np.ndarray:
-    # Strictly sequential accumulation in row order; keeps segment sums
-    # reproducible for any row ordering we choose upstream.
-    acc = rows[0]
-    for i in range(1, rows.shape[0]):
-        acc = acc + rows[i]
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Forward/backward implementations. Forward functions return
 # (output array, saved values); backward functions map (saved, output grad)
@@ -129,9 +125,13 @@ def _row_sum(rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _shape_error(kind, a, b):
+    return OpError(f"{kind}: incompatible shapes {a.shape} and {b.shape}")
+
+
 def _fw_matmul(a, b):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise OpError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+        raise _shape_error("matmul", a, b)
     return a @ b, (a, b)
 
 
@@ -140,16 +140,12 @@ def _bw_matmul(saved, g):
     return g @ b.T, a.T @ g
 
 
-def _check_broadcast(kind, a, b):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise OpError(f"{kind}: incompatible shapes {a.shape} and {b.shape}") from None
-
-
+# On float64 arrays numpy raises ValueError only for shapes that do not broadcast.
 def _fw_add(a, b):
-    _check_broadcast("add", a, b)
-    return a + b, (a.shape, b.shape)
+    try:
+        return a + b, (a.shape, b.shape)
+    except ValueError:
+        raise _shape_error("add", a, b) from None
 
 
 def _bw_add(saved, g):
@@ -158,8 +154,10 @@ def _bw_add(saved, g):
 
 
 def _fw_subtract(a, b):
-    _check_broadcast("subtract", a, b)
-    return a - b, (a.shape, b.shape)
+    try:
+        return a - b, (a.shape, b.shape)
+    except ValueError:
+        raise _shape_error("subtract", a, b) from None
 
 
 def _bw_subtract(saved, g):
@@ -168,8 +166,10 @@ def _bw_subtract(saved, g):
 
 
 def _fw_multiply(a, b):
-    _check_broadcast("elementwise-multiply", a, b)
-    return a * b, (a, b)
+    try:
+        return a * b, (a, b)
+    except ValueError:
+        raise _shape_error("elementwise-multiply", a, b) from None
 
 
 def _bw_multiply(saved, g):
@@ -264,11 +264,9 @@ def _bw_tanh(saved, g):
 
 
 def _fw_sigmoid(a):
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
+    # 1 / (1 + e^-a) for a >= 0 and e^a / (1 + e^a) below, so no exp
+    # overflows; both halves in one expression.
+    out = np.exp(np.minimum(a, 0.0)) / (1.0 + np.exp(-np.abs(a)))
     return out, out
 
 
@@ -288,7 +286,9 @@ _LEAKY_SLOPE = 0.01
 
 
 def _fw_leaky_relu(a):
-    return np.where(a > 0, a, _LEAKY_SLOPE * a), a
+    # 0.01 * a lies between 0 and a, so the max is a above zero and 0.01 * a
+    # at or below it, signed zeros included.
+    return np.maximum(a, _LEAKY_SLOPE * a), a
 
 
 def _bw_leaky_relu(saved, g):
@@ -364,16 +364,25 @@ def _bw_slice_cols(saved, g):
 
 
 def _fw_segment_sum(a, *, segments):
-    """Sum contiguous row segments; ``segments`` is a list of (start, stop)."""
-    parts = [_row_sum(a[lo:hi]) for lo, hi in segments]
-    return np.stack(parts, axis=0), (segments, a.shape)
+    """Sum contiguous row segments; ``segments`` is a list of (start, stop).
+
+    Each segment adds its rows strictly in row order (row k joins at pass k),
+    which keeps the sums reproducible for any row ordering chosen upstream.
+    """
+    lo, hi = np.array(segments, dtype=np.intp).reshape(-1, 2).T
+    out = a[lo]
+    for k in range(1, int((hi - lo).max(initial=0))):
+        live = lo + k < hi
+        out[live] += a[lo[live] + k]
+    return out, (lo, hi, a.shape)
 
 
 def _bw_segment_sum(saved, g):
-    segments, shape = saved
+    lo, hi, shape = saved
+    lengths = hi - lo
+    rows = np.arange(lengths.sum()) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
     out = np.zeros(shape)
-    for row, (lo, hi) in enumerate(segments):
-        out[lo:hi] = g[row]
+    out[rows] = np.repeat(g, lengths, axis=0)
     return (out,)
 
 
@@ -411,13 +420,13 @@ OP_KINDS = tuple(_OPS)
 def forward_op(kind: str, inputs, **kwargs) -> Tensor:
     """Apply an operation and record it when any input is tape-attached.
 
-    Identical inputs always produce bit-identical outputs. Shape errors name
-    the kind and the offending shapes.
+    Identical inputs always produce bit-identical outputs, on the tape or
+    off it. Shape errors name the kind and the offending shapes.
     """
     ops = _OPS.get(kind)
     if ops is None:
         raise OpError(f"unknown operation kind: {kind!r}")
-    out_data, saved = ops[0](*(t.data for t in inputs), **kwargs)
+    out_data, saved = ops[0](*[t.data for t in inputs], **kwargs)
 
     tape = None
     for t in inputs:
@@ -426,7 +435,12 @@ def forward_op(kind: str, inputs, **kwargs) -> Tensor:
                 raise OpError(f"{kind}: inputs belong to different tapes")
             tape = t.tape
     if tape is None:
-        return Tensor(out_data)
+        if type(out_data) is not np.ndarray or out_data.dtype != _F64:
+            return Tensor(out_data)
+        out_data.setflags(write=False)
+        out = object.__new__(Tensor)
+        out.data, out.tape, out.tid = out_data, None, None
+        return out
     out = Tensor(out_data, tape=tape, tid=tape._new_id())
     tape.nodes.append((kind, tuple(t.tid for t in inputs), out.tid, saved))
     return out

@@ -129,6 +129,41 @@ class TestGraphBlock:
             expect = mlp("node.", np.concatenate([nodes[k], agg]))
             assert np.allclose(out[k], expect, atol=1e-12)
 
+    def test_edges_match_per_group_lexsort(self):
+        # The canonical order is a list sort; this is the lexsort it replaced.
+        def reference(nodes, groups):
+            src, dst, segments = [], [], []
+            agg_map = np.full(nodes.shape[0], -1, dtype=np.intp)
+            for start, count in groups:
+                if count == 1:
+                    continue
+                local = nodes[start : start + count]
+                order = [start + int(j) for j in np.lexsort(local.T[::-1])]
+                for k in range(start, start + count):
+                    lo = len(src)
+                    for j in order:
+                        if j != k:
+                            src.append(j)
+                            dst.append(k)
+                    agg_map[k] = len(segments)
+                    segments.append((lo, len(src)))
+            return src, dst, segments, agg_map
+
+        rng = np.random.default_rng(25)
+        for trial in range(300):
+            counts = rng.integers(1, 7, size=int(rng.integers(1, 5)))
+            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+            groups = [(int(s), int(c)) for s, c in zip(starts, counts)]
+            shape = (int(counts.sum()), int(rng.integers(1, 5)))
+            # Integer values tie often; signed zeros must tie too.
+            nodes = rng.integers(-1, 2, size=shape) * rng.choice([1.0, 0.5], size=shape)
+            if trial % 2:
+                nodes = np.where(rng.random(shape) < 0.5, -0.0, nodes)
+            got = nn.graph_edges(nodes, groups)
+            want = reference(nodes, groups)
+            assert got[:3] == want[:3]
+            assert np.array_equal(got[3], want[3])
+
     def test_zero_agents_rejected(self):
         store = nn.init_graph_block(3, [4, 5], [4, 6], np.random.default_rng(0))
         with pytest.raises(OpError):

@@ -41,6 +41,11 @@ class TestForwardOp:
         with pytest.raises(OpError, match="add"):
             forward_op("add", [Tensor(np.ones((2, 3))), Tensor(np.ones(4))])
 
+    @pytest.mark.parametrize("kind", ["add", "subtract", "elementwise-multiply"])
+    def test_broadcast_error_names_kind_and_shapes(self, kind):
+        with pytest.raises(OpError, match=rf"{kind}: .*\(2, 3\) and \(4,\)"):
+            forward_op(kind, [Tensor(np.ones((2, 3))), Tensor(np.ones(4))])
+
     def test_log_rejects_non_positive(self):
         with pytest.raises(OpError, match="log"):
             T.log(Tensor([1.0, 0.0]))
@@ -218,3 +223,85 @@ def test_tapes_do_not_mix():
     b = Tape().leaf([2.0])
     with pytest.raises(OpError, match="tapes"):
         forward_op("add", [a, b])
+
+
+@pytest.mark.parametrize("kind", T.OP_KINDS)
+def test_tape_free_output_matches_taped_bit_for_bit(kind):
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        arrays, kwargs = _kind_instance(kind, rng)
+        free = forward_op(kind, [Tensor(a) for a in arrays], **kwargs)
+        tape = Tape()
+        taped = forward_op(kind, [tape.leaf(a) for a in arrays], **kwargs)
+        assert free.tape is None and free.tid is None and taped.tape is tape
+        assert free.data.dtype == np.float64 and free.data.shape == taped.data.shape
+        assert free.data.tobytes() == taped.data.tobytes()
+        assert not free.data.flags.writeable and not taped.data.flags.writeable
+
+
+# The kernels below are bit-exact rewrites; these are the forms they replaced.
+
+
+def _branchy_sigmoid(a):
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ea = np.exp(a[~pos])
+    out[~pos] = ea / (1.0 + ea)
+    return out
+
+
+def _where_leaky_relu(a):
+    return np.where(a > 0, a, 0.01 * a)
+
+
+def _sequential_segment_sum(a, segments):
+    parts = []
+    for lo, hi in segments:
+        acc = a[lo]
+        for i in range(lo + 1, hi):
+            acc = acc + a[i]
+        parts.append(acc)
+    return np.stack(parts, axis=0)
+
+
+def _segment_sum_grad(g, segments, shape):
+    out = np.zeros(shape)
+    for row, (lo, hi) in enumerate(segments):
+        out[lo:hi] = g[row]
+    return out
+
+
+@pytest.mark.parametrize(
+    "op, reference", [(T.sigmoid, _branchy_sigmoid), (T.leaky_relu, _where_leaky_relu)]
+)
+def test_activation_matches_replaced_form_bit_for_bit(op, reference):
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308]
+    special += [1e308, -1e308, 709.8, -745.2, 36.8, -36.8, 1.0, -1.0]
+    for trial in range(200):
+        a = rng.normal(size=(int(rng.integers(1, 20)), 12)) * 10.0 ** rng.uniform(-310, 307)
+        mask = rng.random(a.shape) < 0.2
+        a[mask] = rng.choice(special, size=int(mask.sum()))
+        for x in (a, np.asfortranarray(a), a[:, 1::3], a[::-1, 2:7]):
+            with np.errstate(over="ignore"):
+                want = np.ascontiguousarray(reference(x)).tobytes()
+            assert op(Tensor(x)).data.tobytes() == want
+
+
+def test_segment_sum_matches_sequential_rows_bit_for_bit():
+    rng = np.random.default_rng(1)
+    for trial in range(300):
+        segments, row = [], int(rng.integers(0, 3))
+        for _ in range(int(rng.integers(1, 12))):
+            length = int(rng.integers(1, 7))  # 1-row segments included
+            segments.append((row, row + length))
+            row += length + int(rng.integers(0, 2))  # rows outside every segment
+        a = rng.normal(size=(row + 1, 5)) * 10.0 ** rng.uniform(-8, 8, size=(row + 1, 1))
+        tape = Tape()
+        x = tape.leaf(a)
+        out = T.segment_sum(x, segments)
+        assert out.data.tobytes() == _sequential_segment_sum(a, segments).tobytes()
+        g = rng.normal(size=out.data.shape)
+        grad = backward(T.sum_all(out * Tensor(g)))[x.tid].data
+        assert grad.tobytes() == _segment_sum_grad(g, segments, a.shape).tobytes()

@@ -9,6 +9,7 @@ from openteam import nn
 from openteam import tensor as T
 from openteam.config import EpsilonSchedule, NetConfig, default_config
 from openteam.envs.base import Observation
+from openteam.learner import model as model_module
 from openteam.learner import trainer as trainer_module
 from openteam.learner.baseline import (
     SlotMap,
@@ -20,6 +21,7 @@ from openteam.envs.session import make_session
 from openteam.learner.model import (
     agent_model_forward,
     agent_model_step,
+    env_dims,
     init_model_net,
     preprocess,
 )
@@ -122,9 +124,18 @@ class TestTrainLoop:
         assert second["episodes"] == 0 and second["mean_return"] is None
 
     @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
+    def test_one_probe_session_per_trainer(self, algorithm, monkeypatch):
+        # The env widths are read once per build, off one probe session.
+        probes = []
+        make = model_module.make_session
+        monkeypatch.setattr(model_module, "make_session", lambda *a: probes.append(a) or make(*a))
+        Trainer(tiny_cfg(algorithm))
+        assert len(probes) == 1
+
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
     def test_init_params_builds_the_trainer_stores(self, algorithm):
         cfg = tiny_cfg(algorithm)
-        value, model = init_params(cfg, np.random.default_rng(0))
+        value, model = init_params(cfg, np.random.default_rng(0), env_dims(cfg))
         stores = Trainer(cfg).stores()
         # The store order is the checkpoint byte layout.
         order = {

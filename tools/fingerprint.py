@@ -10,6 +10,11 @@ A refactor that claims unchanged behaviour must print the same table
 before and after.
 
     PYTHONPATH=src python3 tools/fingerprint.py [--steps 1600] [--every 800]
+    PYTHONPATH=src python3 tools/fingerprint.py --against parent.txt
+
+With ``--against FILE`` (a table this tool printed before) it also lists
+every line that differs from that table, ``-`` for the saved line and ``+``
+for the new one, and exits 1 if any does.
 
 BLAS is pinned to one thread before numpy loads: digests differ between
 thread counts, so compare only tables made with the same setting.
@@ -22,6 +27,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import sys  # noqa: E402
 import tempfile  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -66,16 +72,28 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--steps", type=int, default=1600)
     ap.add_argument("--every", type=int, default=800)
+    ap.add_argument("--against", type=Path, help="a saved table to compare with")
     args = ap.parse_args()
+    saved = args.against.read_text().splitlines() if args.against else None
     OpenEnv.step = _recording_step
-    print(f"# steps={args.steps} every={args.every} OPENBLAS_NUM_THREADS=1")
-    print("| algorithm | env | train sha256 | evaluate sha256 |")
-    print("|---|---|---|---|")
+    table = [
+        f"# steps={args.steps} every={args.every} OPENBLAS_NUM_THREADS=1",
+        "| algorithm | env | train sha256 | evaluate sha256 |",
+        "|---|---|---|---|",
+    ]
+    print(*table, sep="\n")
     with tempfile.TemporaryDirectory() as tmp:
         for algorithm in ALGORITHMS:
             for env in ENVS:
                 train, evaluation = fingerprint(algorithm, env, args.steps, args.every, Path(tmp))
-                print(f"| {algorithm} | {env} | {train} | {evaluation} |", flush=True)
+                table.append(f"| {algorithm} | {env} | {train} | {evaluation} |")
+                print(table[-1], flush=True)
+    if saved is not None:
+        saved = [line.strip() for line in saved if line.startswith(("# steps", "|"))]
+        diff = [f"- {line}" for line in saved if line not in table]
+        diff += [f"+ {line}" for line in table if line not in saved]
+        print(f"# against {args.against}: {len(diff)} differing lines", *diff, sep="\n")
+        sys.exit(1 if diff else 0)
 
 
 if __name__ == "__main__":
