@@ -199,10 +199,14 @@ class GplStep:
         return joint_values(sing, fac, acted, teams.slices, self.cfg.net.rank)
 
 
-def make_step(cfg: RunConfig, rng, action_count):
+def make_step(cfg: RunConfig, rng, value_params):
     """The configured algorithm's step object; `rng` draws the baselines'
-    teammate slots."""
-    return GplStep(cfg) if cfg.algorithm in GPL_ALGORITHMS else PaddedStep(cfg, rng, action_count)
+    teammate slots, and their action count is the width of `value_params`'
+    head."""
+    if cfg.algorithm in GPL_ALGORITHMS:
+        return GplStep(cfg)
+    head_bias = value_params[f"head.b{nn._last_layer(value_params, 'head.')}"]
+    return PaddedStep(cfg, rng, head_bias.shape[-1])
 
 
 class Trainer:
@@ -217,12 +221,11 @@ class Trainer:
         # leave child 3 unused) is historical and kept so that runs reproduce.
         k = 3 if cfg.algorithm in GPL_ALGORITHMS else 4
         seeds = np.random.SeedSequence(cfg.seed).spawn(k + cfg.parallel_envs)
-        dims = env_dims(cfg)
         self.value_params, self.model_params = init_params(
-            cfg, np.random.default_rng(seeds[0]), dims
+            cfg, np.random.default_rng(seeds[0]), env_dims(cfg)
         )
         self.learner_rng = np.random.default_rng(seeds[1])
-        self.step = make_step(cfg, np.random.default_rng(seeds[2]), dims[2])
+        self.step = make_step(cfg, np.random.default_rng(seeds[2]), self.value_params)
         self.slots = []
         for seed in seeds[k:]:
             slot = _Slot(make_session(cfg.env, cfg.openness_train, np.random.default_rng(seed)))
@@ -404,9 +407,7 @@ class GplPolicy:
         self.value_params = value_params
         self.model_params = model_params
         self.rng = rng
-        # Only the baselines need the action count; GPL builds without a probe.
-        gpl = cfg.algorithm in GPL_ALGORITHMS
-        self.step = make_step(cfg, rng, None if gpl else env_dims(cfg)[2])
+        self.step = make_step(cfg, rng, value_params)
         self.slot = _Slot(None)
         self.last_tables = None  # GPL only
         self.last_qbar = None

@@ -6,9 +6,9 @@ one of its inputs is attached to a tape. :func:`backward` replays the tape in
 reverse to produce gradients for every attached tensor.
 
 Work off the tape (evaluation, the target pathway) runs the same kernels and
-only wraps their result: no node, no id, no conversion of an array the kernel
-already made float64. Kernels rely on numpy to reject bad shapes and only
-then work out the error message, so a valid op pays for no check.
+only wraps their result: no node and no id. Kernels leave bad shapes for
+numpy to reject and only then build the error message, so a valid op pays
+for no check.
 
 Tensors are immutable values (their arrays are marked read-only) and can be
 shared freely; a Tape belongs to one logical execution stream.
@@ -370,8 +370,10 @@ def _fw_segment_sum(a, *, segments):
     which keeps the sums reproducible for any row ordering chosen upstream.
     """
     lo, hi = np.array(segments, dtype=np.intp).reshape(-1, 2).T
+    if lo.size == 0 or (hi <= lo).any():
+        raise OpError("segment-sum: empty segment")
     out = a[lo]
-    for k in range(1, int((hi - lo).max(initial=0))):
+    for k in range(1, int((hi - lo).max())):
         live = lo + k < hi
         out[live] += a[lo[live] + k]
     return out, (lo, hi, a.shape)
@@ -435,12 +437,7 @@ def forward_op(kind: str, inputs, **kwargs) -> Tensor:
                 raise OpError(f"{kind}: inputs belong to different tapes")
             tape = t.tape
     if tape is None:
-        if type(out_data) is not np.ndarray or out_data.dtype != _F64:
-            return Tensor(out_data)
-        out_data.setflags(write=False)
-        out = object.__new__(Tensor)
-        out.data, out.tape, out.tid = out_data, None, None
-        return out
+        return Tensor(out_data)
     out = Tensor(out_data, tape=tape, tid=tape._new_id())
     tape.nodes.append((kind, tuple(t.tid for t in inputs), out.tid, saved))
     return out

@@ -305,3 +305,9 @@ def test_segment_sum_matches_sequential_rows_bit_for_bit():
         g = rng.normal(size=out.data.shape)
         grad = backward(T.sum_all(out * Tensor(g)))[x.tid].data
         assert grad.tobytes() == _segment_sum_grad(g, segments, a.shape).tobytes()
+
+
+@pytest.mark.parametrize("segments", [[], [(0, 2), (2, 2)], [(3, 1)]])
+def test_segment_sum_rejects_empty_segments(segments):
+    with pytest.raises(OpError, match="segment-sum: empty segment"):
+        T.segment_sum(Tensor(np.ones((4, 2))), segments)

@@ -34,20 +34,16 @@ def tiny_run(out_dir, **kw):
     return run_training(replace(cfg, **kw).validate(), str(out_dir))
 
 
-def tool(name, *args):
+def ckptdiff(a, b):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / name), *map(str, args)],
+        [sys.executable, str(ROOT / "tools" / "ckptdiff.py"), str(a), str(b)],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
-
-
-def ckptdiff(a, b):
-    return tool("ckptdiff.py", a, b)
 
 
 class TestCkptdiff:
@@ -65,23 +61,3 @@ class TestCkptdiff:
         out = ckptdiff(a, b)
         assert out.returncode == 1
         assert "checkpoint names differ" in out.stderr
-
-
-class TestFingerprint:
-    def test_against_a_saved_table(self, tmp_path):
-        short = ("--steps", 16, "--every", 16)
-        first = tool("fingerprint.py", *short)
-        assert first.returncode == 0, first.stderr
-        saved = tmp_path / "table.txt"
-        saved.write_text(first.stdout)
-        same = tool("fingerprint.py", *short, "--against", saved)
-        assert same.returncode == 0, same.stderr
-        assert same.stdout.startswith(first.stdout)
-        assert same.stdout.endswith(": 0 differing lines\n")
-
-        row = next(line for line in first.stdout.splitlines() if line.startswith("| QL |"))
-        altered = row[:-3] + ("0" if row[-3] != "0" else "1") + row[-2:]
-        saved.write_text(first.stdout.replace(row, altered))
-        differs = tool("fingerprint.py", *short, "--against", saved)
-        assert differs.returncode == 1
-        assert differs.stdout.splitlines()[-2:] == [f"- {altered}", f"+ {row}"]

@@ -124,13 +124,19 @@ class TestTrainLoop:
         assert second["episodes"] == 0 and second["mean_return"] is None
 
     @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
-    def test_one_probe_session_per_trainer(self, algorithm, monkeypatch):
-        # The env widths are read once per build, off one probe session.
+    def test_one_probe_session_per_trainer_and_none_per_policy(self, algorithm, monkeypatch):
+        # The env widths are read once per build, off one probe session; a
+        # policy reads the action count off the value net it is given.
         probes = []
         make = model_module.make_session
         monkeypatch.setattr(model_module, "make_session", lambda *a: probes.append(a) or make(*a))
-        Trainer(tiny_cfg(algorithm))
+        cfg = tiny_cfg(algorithm)
+        trainer = Trainer(cfg)
         assert len(probes) == 1
+        policy = GplPolicy(cfg, trainer.value_params, trainer.model_params, np.random.default_rng(0))
+        assert len(probes) == 1
+        if algorithm in ("QL", "QL-AM"):
+            assert policy.step.action_count == trainer.step.action_count == env_dims(cfg)[2]
 
     @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
     def test_init_params_builds_the_trainer_stores(self, algorithm):

@@ -10,11 +10,11 @@ A refactor that claims unchanged behaviour must print the same table
 before and after.
 
     PYTHONPATH=src python3 tools/fingerprint.py [--steps 1600] [--every 800]
-    PYTHONPATH=src python3 tools/fingerprint.py --against parent.txt
 
-With ``--against FILE`` (a table this tool printed before) it also lists
-every line that differs from that table, ``-`` for the saved line and ``+``
-for the new one, and exits 1 if any does.
+To check a change against a table saved before it (exit status 1 and the
+differing lines if anything moved):
+
+    PYTHONPATH=src python3 tools/fingerprint.py | diff saved.txt -
 
 BLAS is pinned to one thread before numpy loads: digests differ between
 thread counts, so compare only tables made with the same setting.
@@ -27,7 +27,6 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
-import sys  # noqa: E402
 import tempfile  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -72,28 +71,16 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--steps", type=int, default=1600)
     ap.add_argument("--every", type=int, default=800)
-    ap.add_argument("--against", type=Path, help="a saved table to compare with")
     args = ap.parse_args()
-    saved = args.against.read_text().splitlines() if args.against else None
     OpenEnv.step = _recording_step
-    table = [
-        f"# steps={args.steps} every={args.every} OPENBLAS_NUM_THREADS=1",
-        "| algorithm | env | train sha256 | evaluate sha256 |",
-        "|---|---|---|---|",
-    ]
-    print(*table, sep="\n")
+    print(f"# steps={args.steps} every={args.every} OPENBLAS_NUM_THREADS=1")
+    print("| algorithm | env | train sha256 | evaluate sha256 |")
+    print("|---|---|---|---|")
     with tempfile.TemporaryDirectory() as tmp:
         for algorithm in ALGORITHMS:
             for env in ENVS:
                 train, evaluation = fingerprint(algorithm, env, args.steps, args.every, Path(tmp))
-                table.append(f"| {algorithm} | {env} | {train} | {evaluation} |")
-                print(table[-1], flush=True)
-    if saved is not None:
-        saved = [line.strip() for line in saved if line.startswith(("# steps", "|"))]
-        diff = [f"- {line}" for line in saved if line not in table]
-        diff += [f"+ {line}" for line in table if line not in saved]
-        print(f"# against {args.against}: {len(diff)} differing lines", *diff, sep="\n")
-        sys.exit(1 if diff else 0)
+                print(f"| {algorithm} | {env} | {train} | {evaluation} |", flush=True)
 
 
 if __name__ == "__main__":
