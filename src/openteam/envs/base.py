@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -44,26 +45,37 @@ class Observation:
 
     def batch_rows(self):
         """Per-agent concat(x_j, u) rows in roster order."""
-        return np.stack([np.concatenate([self.x[j], self.u]) for j in self.order])
+        width = len(self.x[self.order[0]])
+        rows = np.empty((len(self.order), width + len(self.u)))
+        for row, j in zip(rows, self.order):
+            row[:width] = self.x[j]
+        rows[:, width:] = self.u
+        return rows
 
 
 def manhattan(a, b) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def chebyshev(a, b) -> int:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 def in_bounds(pos, width, height) -> bool:
     return 0 <= pos[0] < height and 0 <= pos[1] < width
 
 
+@cache
+def neighbor_table(width, height):
+    """In-grid 4-neighborhood of every in-grid cell, row-major order."""
+    return {
+        (r, c): tuple(
+            p for p in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)) if in_bounds(p, width, height)
+        )
+        for r in range(height)
+        for c in range(width)
+    }
+
+
 def neighbors4(pos, width, height):
-    """In-grid 4-neighborhood, row-major order."""
-    r, c = pos
-    cells = [(r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)]
-    return [p for p in cells if in_bounds(p, width, height)]
+    """In-grid 4-neighborhood of an in-grid cell, row-major order."""
+    return neighbor_table(width, height)[pos]
 
 
 def move_target(pos, action, width, height):
@@ -81,11 +93,12 @@ def resolve_moves(current: dict, proposals: dict, blocked, width, height) -> dic
     cell; `proposals` maps movers to desired cells.
     """
     targets = {}
+    cells = set(current.values())  # a target other than pos found here is another's cell
     for ent, pos in current.items():
         tgt = proposals.get(ent, pos)
         if not in_bounds(tgt, width, height):
             tgt = pos
-        if tgt != pos and (tgt in blocked or any(tgt == p for e, p in current.items() if e != ent)):
+        if tgt != pos and (tgt in blocked or tgt in cells):
             tgt = pos
         targets[ent] = tgt
     counts = {}

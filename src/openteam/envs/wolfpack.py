@@ -17,7 +17,6 @@ from .base import (
     MOVE_ACTIONS,
     WOLF_ACTIONS,
     Observation,
-    chebyshev,
     manhattan,
     move_target,
     resolve_moves,
@@ -76,11 +75,8 @@ def prey_act(state: WolfState, prey_index: int, rng) -> int:
     hunters = list(state.positions.values())
     scores = []
     for action in WOLF_ACTIONS:
-        target = move_target(pos, action, state.width, state.height)
-        if hunters:
-            scores.append(min(chebyshev(target, h) for h in hunters))
-        else:
-            scores.append(0)
+        r, c = move_target(pos, action, state.width, state.height)
+        scores.append(min((max(abs(r - hr), abs(c - hc)) for hr, hc in hunters), default=0))
     best = max(scores)
     choices = [a for a, s in zip(WOLF_ACTIONS, scores) if s == best]
     return int(choices[int(rng.integers(0, len(choices)))])

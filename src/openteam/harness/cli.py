@@ -128,5 +128,34 @@ def cli(argv) -> int:
     return 2
 
 
+def pin_blas_threads():
+    """Run the OpenBLAS that numpy loaded on one thread (no-op without one).
+
+    Training bytes differ between BLAS thread counts, and a second job on the
+    machine makes extra threads contend. The library is already loaded by the
+    time `main` runs, so an environment variable would come too late.
+    """
+    import ctypes
+    from pathlib import Path
+
+    import numpy as np
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
+        lib = ctypes.CDLL(str(path))
+        for symbol in (
+            "scipy_openblas_set_num_threads64_",
+            "openblas_set_num_threads64_",
+            "openblas_set_num_threads",
+        ):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(1)
+                return
+
+
 def main():
+    pin_blas_threads()
     sys.exit(cli(sys.argv[1:]))

@@ -125,21 +125,20 @@ def mlp_forward(params, x: Tensor, schedule=None, prefix="") -> Tensor:
     `schedule` holds one activation name (or None) per layer; the default is
     leaky-relu everywhere except the final, linear layer.
     """
-    layers = []
-    while f"{prefix}w{len(layers)}" in params:
-        layers.append(len(layers))
-    if not layers:
+    if f"{prefix}w0" not in params:
         raise OpError(f"mlp_forward: no layers under prefix {prefix!r}")
-    if schedule is None:
-        schedule = ["leaky-relu"] * (len(layers) - 1) + [None]
-    if len(schedule) != len(layers):
+    last = _last_layer(params, prefix)
+    if schedule is not None and len(schedule) != last + 1:
         raise OpError(
-            f"mlp_forward: schedule length {len(schedule)} != layer count {len(layers)}"
+            f"mlp_forward: schedule length {len(schedule)} != layer count {last + 1}"
         )
     out = x
-    for layer, act in zip(layers, schedule):
+    for layer in range(last + 1):
         out = T.matmul(out, params[f"{prefix}w{layer}"]) + params[f"{prefix}b{layer}"]
-        out = _ACTIVATIONS[act](out)
+        if schedule is not None:
+            out = _ACTIVATIONS[schedule[layer]](out)
+        elif layer < last:
+            out = T.leaky_relu(out)
     return out
 
 
@@ -152,10 +151,12 @@ def lstm_step(params, x: Tensor, state, prefix=""):
     h, c = state
     hidden = h.data.shape[-1]
     z = T.matmul(T.concat_last([x, h]), params[f"{prefix}w"]) + params[f"{prefix}b"]
-    i = T.sigmoid(T.slice_cols(z, 0, hidden))
-    f = T.sigmoid(T.slice_cols(z, hidden, 2 * hidden))
+    # One sigmoid over the whole gate slab; its g columns are never read.
+    gates = T.sigmoid(z)
+    i = T.slice_cols(gates, 0, hidden)
+    f = T.slice_cols(gates, hidden, 2 * hidden)
     g = T.tanh(T.slice_cols(z, 2 * hidden, 3 * hidden))
-    o = T.sigmoid(T.slice_cols(z, 3 * hidden, 4 * hidden))
+    o = T.slice_cols(gates, 3 * hidden, 4 * hidden)
     c_new = f * c + i * g
     h_new = o * T.tanh(c_new)
     return h_new, c_new

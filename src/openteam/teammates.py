@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .envs.base import (
+    DELTAS,
     DOWN,
     LBF_ACTIONS,
     LEFT,
@@ -22,6 +24,7 @@ from .envs.base import (
     UP,
     WOLF_ACTIONS,
     manhattan,
+    neighbor_table,
     neighbors4,
 )
 from .envs.foraging import LbfState
@@ -79,20 +82,20 @@ def _uniform(rng, actions) -> int:
     return int(actions[int(rng.integers(0, len(actions)))])
 
 
-def _nearest_prey(state: WolfState, pos):
+def _nearest_prey(prey, pos):
     best, best_dist = None, None
-    for i, prey_pos in enumerate(state.prey):
+    for i, prey_pos in enumerate(prey):
         d = manhattan(pos, prey_pos)
         if best_dist is None or d < best_dist:
             best, best_dist = i, d
     return best, best_dist
 
 
-def _greedy_destination(state: WolfState, pos):
+def _greedy_destination(prey, pos, width, height):
     """Nearest prey and the nearest in-grid cell adjacent to it (row-major ties)."""
-    prey_i, _ = _nearest_prey(state, pos)
-    prey_pos = state.prey[prey_i]
-    cells = neighbors4(prey_pos, state.width, state.height)
+    prey_i, _ = _nearest_prey(prey, pos)
+    prey_pos = prey[prey_i]
+    cells = neighbors4(prey_pos, width, height)
     dest = min(cells, key=lambda c: (manhattan(pos, c), c))
     return prey_pos, dest
 
@@ -115,7 +118,7 @@ def _move_along_axis(pos, dest, axis) -> int:
 
 def _wolf_greedy(state: WolfState, pos) -> int:
     """Move toward the destination along the axis farther from the prey."""
-    prey_pos, dest = _greedy_destination(state, pos)
+    prey_pos, dest = _greedy_destination(state.prey, pos, state.width, state.height)
     axis = "row" if abs(prey_pos[0] - pos[0]) >= abs(prey_pos[1] - pos[1]) else "col"
     return _move_along_axis(pos, dest, axis)
 
@@ -123,7 +126,7 @@ def _wolf_greedy(state: WolfState, pos) -> int:
 def _wolf_greedy_prob(state: WolfState, pos, rng) -> int:
     """Like greedy, but the movement axis is Boltzmann-sampled (unit
     temperature) from the two axis distances to the prey."""
-    prey_pos, dest = _greedy_destination(state, pos)
+    prey_pos, dest = _greedy_destination(state.prey, pos, state.width, state.height)
     dr = abs(prey_pos[0] - pos[0])
     dc = abs(prey_pos[1] - pos[1])
     p_row = math.exp(dr) / (math.exp(dr) + math.exp(dc))
@@ -135,11 +138,12 @@ def _bfs_first_step(start, goal, blocked, width, height):
     """First move of a shortest path (None when the goal is unreachable)."""
     if start == goal:
         return STAY
+    neighbors = neighbor_table(width, height)
     parent = {start: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt in neighbors4(cur, width, height):
+        for nxt in neighbors[cur]:
             if nxt in parent or (nxt in blocked and nxt != goal):
                 continue
             parent[nxt] = cur
@@ -154,38 +158,42 @@ def _bfs_first_step(start, goal, blocked, width, height):
     return None
 
 
-def _wolf_team_aware(state: WolfState, self_id: int) -> int:
-    """Plan collision-free shortest paths for all hunters, nearest-first.
+@lru_cache(maxsize=1)
+def _team_plans(width, height, positions, prey):
+    """Collision-free shortest-path first moves for all hunters, nearest-first.
 
-    Hunters are ranked by distance to their greedy destination (agent id
-    breaks ties); each plan avoids other hunters, prey, and cells already
-    claimed by higher-ranked hunters.
+    `positions` holds (agent id, cell) pairs. Hunters are ranked by distance
+    to their greedy destination (agent id breaks ties); each plan avoids
+    other hunters, prey, and cells already claimed by higher-ranked hunters.
+    Pure over its arguments, so every team-aware teammate of one state
+    shares one plan.
     """
-    plans = {}
-    ranked = sorted(
-        state.positions,
-        key=lambda a: (manhattan(state.positions[a], _greedy_destination(state, state.positions[a])[1]), a),
-    )
-    claimed = set()
-    for agent in ranked:
-        pos = state.positions[agent]
-        _, dest = _greedy_destination(state, pos)
-        blocked = (set(state.positions.values()) - {pos}) | set(state.prey) | claimed
-        step = _bfs_first_step(pos, dest, blocked, state.width, state.height)
+    cells = dict(positions)
+    dests = {a: _greedy_destination(prey, pos, width, height)[1] for a, pos in positions}
+    hunters, prey_cells = set(cells.values()), set(prey)
+    plans, claimed = {}, set()
+    for agent in sorted(cells, key=lambda a: (manhattan(cells[a], dests[a]), a)):
+        pos = cells[agent]
+        blocked = (hunters - {pos}) | prey_cells | claimed
+        step = _bfs_first_step(pos, dests[agent], blocked, width, height)
         if step is None:
             step = STAY
-        next_cell = pos
-        if step != STAY:
-            dr, dc = {UP: (-1, 0), DOWN: (1, 0), LEFT: (0, -1), RIGHT: (0, 1)}[step]
-            next_cell = (pos[0] + dr, pos[1] + dc)
-        claimed.add(next_cell)
+        dr, dc = DELTAS[step]
+        claimed.add((pos[0] + dr, pos[1] + dc))
         plans[agent] = step
+    return plans
+
+
+def _wolf_team_aware(state: WolfState, self_id: int) -> int:
+    plans = _team_plans(
+        state.width, state.height, tuple(state.positions.items()), tuple(state.prey)
+    )
     return plans[self_id]
 
 
 def _waiting(state: WolfState, self_id: int, radius: int) -> bool:
     pos = state.positions[self_id]
-    prey_i, dist = _nearest_prey(state, pos)
+    prey_i, dist = _nearest_prey(state.prey, pos)
     if dist > radius:
         return False
     prey_pos = state.prey[prey_i]

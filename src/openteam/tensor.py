@@ -40,8 +40,7 @@ class Tensor:
             arr = data
         else:
             arr = np.asarray(data, dtype=_F64)
-        if arr.flags.writeable:
-            arr.flags.writeable = False
+        arr.setflags(write=False)
         self.data = arr
         self.tape = tape
         self.tid = tid

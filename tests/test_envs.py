@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from openteam.envs.base import DOWN, LEFT, LOAD, RIGHT, STAY, UP, EnvConfig
+from openteam.config import default_config
+from openteam.envs.base import DOWN, LEFT, LOAD, RIGHT, STAY, UP, EnvConfig, resolve_moves
 from openteam.envs.foraging import FoodItem, LbfState, encode_lbf_obs, lbf_reset, lbf_step
 from openteam.envs.wolfpack import WolfState, encode_wolf_obs, prey_act, wolf_reset, wolf_step
 from openteam.envs.session import make_session
 from openteam.openness import LEARNER_ID, OpennessConfig, reset_roster
+from openteam.teammates import _team_plans
 
 
 def lbf_state(positions, levels, objects, width=8, height=8, step=0):
@@ -230,6 +234,19 @@ class TestEncodeObs:
         assert rows.shape == (len(obs.order), 2 + 4)
         assert np.array_equal(rows[0][:2], obs.x[LEARNER_ID])
 
+    @pytest.mark.parametrize("env_name", ["wolfpack", "lbf"])
+    def test_batch_rows_match_concatenate_and_stack(self, env_name):
+        openness = default_config(env_name, "GPL-Q").openness_eval
+        session = make_session(EnvConfig.defaults(env_name), openness, 3)
+        obs = session.reset()
+        for _ in range(200):
+            rows = obs.batch_rows()
+            reference = np.stack([np.concatenate([obs.x[j], obs.u]) for j in obs.order])
+            assert rows.dtype == reference.dtype and rows.shape == reference.shape
+            assert rows.tobytes() == reference.tobytes()
+            res = session.step(0)
+            obs = session.reset() if res.done else res.obs
+
 
 class TestSession:
     def test_rollout_respects_team_limit_and_grid(self):
@@ -273,3 +290,53 @@ class TestSession:
             return trace
 
         assert run(42) == run(42)
+
+
+class TestReferenceForms:
+    """The cheap env and teammate paths replay the reference forms bit for bit."""
+
+    @staticmethod
+    def rollout(env_name, openness, steps):
+        session = make_session(EnvConfig.defaults(env_name), openness, 0)
+        obs = session.reset()
+        learner = np.random.default_rng(1)
+        trace = []
+        for _ in range(steps):
+            res = session.step(int(learner.integers(0, session.action_count)))
+            obs = session.reset() if res.done else res.obs
+            trace.append(
+                repr((sorted(res.joint_action.items()), res.reward, res.done, obs.order)).encode()
+                + obs.batch_rows().tobytes()
+            )
+        return trace
+
+    @pytest.mark.parametrize("env_name", ["wolfpack", "lbf"])
+    @pytest.mark.parametrize("limit", [3, 5])
+    def test_long_trajectories_match(self, env_name, limit, reference_forms):
+        openness = default_config(env_name, "GPL-Q").openness_eval
+        openness = replace(openness, team_limit=limit)
+        _team_plans.cache_clear()
+        fast = self.rollout(env_name, openness, 20_000)
+        with pytest.MonkeyPatch.context() as mp:
+            reference_forms.patch(mp)
+            reference = self.rollout(env_name, openness, 20_000)
+        first_diff = next((k for k, (a, b) in enumerate(zip(fast, reference)) if a != b), None)
+        assert first_diff is None
+        if env_name == "wolfpack":  # team-aware teammates shared cached plans
+            assert _team_plans.cache_info().hits > 0
+
+    def test_resolve_moves_matches_any_scan(self, reference_forms):
+        rng = np.random.default_rng(4)
+        for _ in range(2000):
+            width, height = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            cells = [(r, c) for r in range(height) for c in range(width)]
+            picks = rng.permutation(len(cells))[: int(rng.integers(1, len(cells) + 1))]
+            current = {k: cells[i] for k, i in enumerate(picks)}
+            proposals = {
+                k: (int(rng.integers(-1, height + 1)), int(rng.integers(-1, width + 1)))
+                for k in current
+                if rng.random() < 0.7
+            }
+            blocked = {cells[int(i)] for i in rng.integers(0, len(cells), 2)}
+            args = (current, proposals, blocked, width, height)
+            assert resolve_moves(*args) == reference_forms.resolve_moves(*args)

@@ -1,11 +1,15 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import openteam
 from openteam import nn
 from openteam.config import (
     ConfigError,
@@ -462,6 +466,31 @@ class TestAnalysis:
 
 
 class TestCli:
+    def test_main_pins_one_blas_thread(self):
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        found = sorted(libs.glob("*openblas*")) if libs.is_dir() else []
+        if not found:
+            pytest.skip("numpy bundles no OpenBLAS")
+        # OPENBLAS_NUM_THREADS=2 sets the count at load; main() must still run on one.
+        script = f"""
+import ctypes
+from openteam.harness import cli
+lib = ctypes.CDLL({str(found[0])!r})
+symbols = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+get = next(getattr(lib, s) for s in symbols if hasattr(lib, s))
+get.restype = ctypes.c_int
+cli.cli = lambda argv: print(get()) or 0
+cli.main()
+"""
+        src = str(Path(openteam.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1"]
+
     def write_cfg(self, tmp_path):
         cfg = tiny_cfg()
         path = tmp_path / "config.json"

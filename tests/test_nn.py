@@ -90,6 +90,65 @@ class TestLstmStep:
                 return T.sum_all(h * h)
             assert grad_check(f, store[name]) <= 1e-4
 
+    @staticmethod
+    def per_gate_step(params, x, state):
+        # Reference form: one sigmoid per gate slice.
+        h, c = state
+        hidden = h.data.shape[-1]
+        z = T.matmul(T.concat_last([x, h]), params["w"]) + params["b"]
+        i = T.sigmoid(T.slice_cols(z, 0, hidden))
+        f = T.sigmoid(T.slice_cols(z, hidden, 2 * hidden))
+        g = T.tanh(T.slice_cols(z, 2 * hidden, 3 * hidden))
+        o = T.sigmoid(T.slice_cols(z, 3 * hidden, 4 * hidden))
+        c_new = f * c + i * g
+        return o * T.tanh(c_new), c_new
+
+    @pytest.mark.parametrize("rows,hidden", [(1, 4), (3, 8), (5, 16)])
+    def test_gate_slab_matches_per_gate_bytes(self, rows, hidden):
+        rng = np.random.default_rng(rows * 100 + hidden)
+        store = nn.init_lstm(3, hidden, rng)
+        xs = [rng.normal(size=(rows, 3)) * 4 for _ in range(3)]
+        h0, c0 = rng.normal(size=(2, rows, hidden))
+        wh, wc = rng.normal(size=(2, rows, hidden))
+
+        def run(step):
+            tape = T.Tape()
+            params = store.bind(tape)
+            leaves = [tape.leaf(a) for a in (*xs, h0, c0)]
+            h, c = leaves[-2:]
+            outs = []
+            for x in leaves[:3]:
+                h, c = step(params, x, (h, c))
+                outs += [h.data.tobytes(), c.data.tobytes()]
+            grads = T.backward(T.sum_all(h * Tensor(wh)) + T.sum_all(c * Tensor(wc)))
+            tids = [t.tid for t in (*params.values(), *leaves)]
+            return outs, [grads[tid].data.tobytes() for tid in tids]
+
+        assert run(nn.lstm_step) == run(self.per_gate_step)
+
+    def test_one_step_is_fourteen_ops(self, monkeypatch):
+        calls = []
+        forward_op = T.forward_op
+        monkeypatch.setattr(T, "forward_op", lambda kind, *a, **k: calls.append(kind) or forward_op(kind, *a, **k))
+        store = nn.init_lstm(3, 4, np.random.default_rng(0))
+        nn.lstm_step(store, Tensor(np.ones((2, 3))), (Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))))
+        assert len(calls) == 14 and calls.count("sigmoid") == 1
+
+    def test_sigmoid_of_slab_matches_sigmoid_of_slices(self):
+        rng = np.random.default_rng(21)
+        special = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 710.0, -745.0]
+        )
+        for _ in range(300):
+            rows, hidden = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+            z = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(rows, 4 * hidden))
+            mask = rng.random(z.shape) < 0.3
+            z[mask] = rng.choice(special, size=int(mask.sum()))
+            slab = T.sigmoid(Tensor(z)).data
+            for start in range(0, 4 * hidden, hidden):
+                piece = T.sigmoid(T.slice_cols(Tensor(z), start, start + hidden)).data
+                assert slab[:, start : start + hidden].tobytes() == piece.tobytes()
+
 
 class TestGraphBlock:
     def test_single_node_uses_zero_aggregate(self):

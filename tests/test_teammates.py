@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from openteam.envs.base import DOWN, LEFT, LOAD, RIGHT, STAY, UP
+from openteam.envs.base import DOWN, LEFT, LOAD, RIGHT, STAY, UP, neighbors4
 from openteam.envs.foraging import FoodItem, LbfState
-from openteam.envs.wolfpack import WolfState
+from openteam.envs.wolfpack import WolfState, add_agent, prey_act, remove_agent, wolf_step
 from openteam.teammates import (
     LBF_TYPES,
     WOLF_TYPES,
     TeammateMemory,
+    _team_plans,
+    _wolf_team_aware,
     sample_memory,
     teammate_act,
     wolf_act,
@@ -253,3 +257,62 @@ class TestSharedProperties:
             return float(-(p * np.log(p)).sum())
 
         assert entropy(counts["wolf.H1"]) - entropy(counts["wolf.H2"]) >= 0.5
+
+
+@st.composite
+def crowded_wolf_states(draw):
+    """Small grids, so edge cells, blocked paths and unreachable goals are common."""
+    width = draw(st.integers(1, 6))
+    height = draw(st.integers(2 if width == 1 else 1, 6))
+    cells = draw(st.permutations([(r, c) for r in range(height) for c in range(width)]))
+    hunters = draw(st.integers(1, min(5, len(cells) - 1)))
+    prey = draw(st.integers(1, min(3, len(cells) - hunters)))
+    ids = draw(st.permutations(range(hunters)))
+    return wolf_state(dict(zip(ids, cells)), cells[hunters : hunters + prey], width, height)
+
+
+class TestReferenceForms:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(state=crowded_wolf_states(), seed=st.integers(0, 2**16))
+    def test_wolf_policies_and_prey_match_reference(self, state, seed, reference_forms):
+        for agent in state.positions:
+            assert _wolf_team_aware(state, agent) == reference_forms.wolf_team_aware(state, agent)
+        for cell in state.prey:
+            assert neighbors4(cell, state.width, state.height) == tuple(
+                reference_forms.neighbors4(cell, state.width, state.height)
+            )
+        for index in range(len(state.prey)):
+            a = prey_act(state, index, np.random.default_rng(seed))
+            b = reference_forms.prey_act(state, index, np.random.default_rng(seed))
+            assert a == b
+        for type_id in WOLF_TYPES:
+            mem = TeammateMemory(waiting_radius=4)
+            fast = [wolf_act(type_id, state, a, mem, np.random.default_rng(seed)) for a in state.positions]
+            with pytest.MonkeyPatch.context() as mp:
+                reference_forms.patch(mp)
+                ref = [wolf_act(type_id, state, a, mem, np.random.default_rng(seed)) for a in state.positions]
+            assert fast == ref
+
+    def test_plan_cache_misses_after_roster_or_prey_change(self, reference_forms):
+        # Prey 0 is trapped in the corner by hunters 1 and 2, so staying captures it.
+        state = wolf_state({0: (5, 5), 1: (0, 1), 2: (1, 0)}, [(0, 0), (7, 7)])
+        rng = np.random.default_rng(0)
+        _team_plans.cache_clear()
+
+        def plan_all(state):
+            before = _team_plans.cache_info()
+            for agent in state.positions:
+                assert _wolf_team_aware(state, agent) == reference_forms.wolf_team_aware(state, agent)
+            after = _team_plans.cache_info()
+            return after.misses - before.misses, after.hits - before.hits
+
+        assert plan_all(state) == (1, 2)
+        add_agent(state, 3, rng)
+        assert plan_all(state) == (1, 3)
+        remove_agent(state, 1)
+        assert plan_all(state) == (1, 2)
+        state = wolf_state({0: (5, 5), 1: (0, 1), 2: (1, 0)}, [(0, 0), (7, 7)])  # the trap again
+        assert plan_all(state) == (1, 2)
+        new, _, _ = wolf_step(state, {0: STAY, 1: STAY, 2: STAY}, rng)
+        assert new.prey[0] != (0, 0) and new.positions == state.positions  # respawned
+        assert plan_all(new) == (1, 2)
