@@ -20,8 +20,9 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(stores: dict, path, config_hash: str = "", global_step: int = 0):
     """`stores` maps store name -> ParamStore. The file is written beside
-    `path` and then renamed over it, so a failed save leaves `path` as it
-    was."""
+    `path`, flushed to disk and only then renamed over it, so `path` holds
+    either the previous checkpoint or the whole new one, also after a
+    failed save or a crash."""
     manifest = {
         "format": FORMAT,
         "config_hash": config_hash,
@@ -40,6 +41,8 @@ def save_checkpoint(stores: dict, path, config_hash: str = "", global_step: int 
         fh.write(json.dumps(manifest, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
         fh.write(b"".join(chunks))
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 

@@ -9,11 +9,14 @@ a value head maps the vector to learner action values.
 
 `PaddedStep` is the baselines' value side of the trainer's iteration, for
 training (all environments stacked) and acting (one environment) alike:
-`padded_rows` then `ql_baseline_forward`. A roster change is applied when it
-is observed (`PaddedStep.follow`): arrivals get their slots and, for QL-AM,
-the agent model's stored states are realigned to the new roster. The
-trainer runs QL-AM's agent model once over the stacked rosters of every
-environment on each pathway and hands its distributions to `values`.
+`padded_rows` then `ql_baseline_forward`. Like GPL, a baseline keeps its
+recurrences in one `EmbeddingStore` per environment: the value and target
+maps hold the learner's row alone, and QL-AM's agent-model map follows the
+roster. A roster change is applied when it is observed
+(`PaddedStep.follow`): arrivals get their slots and the roster maps are
+realigned. The trainer runs QL-AM's agent model once over the stacked
+rosters of every environment on each pathway and hands its distributions to
+`values`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .. import nn
 from .. import tensor as T
 from ..config import RunConfig
 from ..tensor import Tensor
-from .model import EmbeddingStore, embed_rows, init_embedding, preprocess
+from .model import EmbeddingStore, embed_rows, init_embedding, preprocess, stacked
 from .values import one_hot
 
 
@@ -125,8 +128,6 @@ def ql_baseline_forward(params, padded, state):
     return nn.mlp_forward(params, h, prefix="head."), (h, c)
 
 
-
-
 class PaddedStep:
     """The padded-input baselines' (QL / QL-AM) value side of an iteration:
     one padded forward over all slots per pathway (see the module
@@ -145,22 +146,21 @@ class PaddedStep:
         """Fresh episode state at the episode's first observation `obs`."""
         dim = self.cfg.net.embedding_dim
         slot.obs = obs
-        zeros = (np.zeros((1, dim)), np.zeros((1, dim)))
-        slot.states = {"value": zeros, "target": zeros}
+        slot.store = EmbeddingStore(dim, ("model",) if self.cfg.algorithm == "QL-AM" else ())
+        zeros = np.zeros(dim)
+        slot.store.value[obs.learner_id] = slot.store.target[obs.learner_id] = (zeros, zeros)
+        preprocess(obs, slot.store, [], obs.order)
         slot.slot_map = SlotMap(self.cfg.max_team_pad - 1)
         slot.slot_map.apply([], [j for j in obs.order if j != obs.learner_id], self.rng)
-        if self.cfg.algorithm == "QL-AM":
-            slot.store = EmbeddingStore(dim)
-            preprocess(obs, slot.store, [], obs.order, maps=("model",))
 
     def follow(self, slot, res):
         """Move on to the observation of step result `res`, applying its
-        roster change: arrivals get their slots, and the agent model's states
-        (QL-AM) drop departed agents and start arrivals from zeros."""
+        roster change: arrivals get their slots, and the roster maps of the
+        store (QL-AM's agent model) drop departed agents and start arrivals
+        from zeros."""
         slot.obs = res.obs
         slot.slot_map.apply(res.departures, res.arrivals, self.rng)
-        if slot.store is not None:
-            preprocess(res.obs, slot.store, res.departures, res.arrivals, maps=("model",))
+        preprocess(res.obs, slot.store, res.departures, res.arrivals)
 
     def values(self, params, slots, teams, probs, which):
         """Every slot's learner action values from its padded input row,
@@ -168,11 +168,10 @@ class PaddedStep:
         and `probs` are the agent model's pass (None for QL)."""
         obs_list, slot_maps = [s.obs for s in slots], [s.slot_map for s in slots]
         rows = padded_rows(obs_list, slot_maps, self.action_count, teams, probs)
-        states = [slot.states[which] for slot in slots]
-        state = np.concatenate([h for h, _ in states]), np.concatenate([c for _, c in states])
-        q, (h, c) = ql_baseline_forward(params, rows, state)
-        for i, slot in enumerate(slots):
-            slot.states[which] = (h.data[i : i + 1], c.data[i : i + 1])
+        stores = [slot.store for slot in slots]
+        q, (h, c) = ql_baseline_forward(params, rows, stacked(stores, which))
+        for i, store in enumerate(stores):
+            store.write(which, h.data[i : i + 1], c.data[i : i + 1])
         return list(q.data), q
 
     def taken(self, q, results, actions):

@@ -6,10 +6,12 @@ vector. Two independent recurrences are kept (one for the value network, one
 for the agent model) so their gradients never interfere, plus a target-side
 copy of the value recurrence.
 
-Each roster change is applied to the per-agent (hidden, cell) pairs when it
-is observed (`preprocess`): rows of departed agents are dropped and arriving
-agents start from exact zeros, so a store always lists its environment's
-current roster. A new episode starts from a fresh store.
+Every algorithm holds its recurrent (hidden, cell) pairs in one
+`EmbeddingStore` per environment. Each roster change is applied to the maps
+that follow the roster when it is observed (`preprocess`): rows of departed
+agents are dropped and arriving agents start from exact zeros, so such a map
+always lists its environment's current roster. A new episode starts from a
+fresh store.
 """
 
 from __future__ import annotations
@@ -33,12 +35,16 @@ def env_dims(cfg) -> tuple[int, int, int]:
 
 
 class EmbeddingStore:
-    """Per-agent (hidden, cell) pairs for the three recurrences."""
+    """Per-agent (hidden, cell) pairs for the three recurrences.
 
-    MAPS = ("value", "model", "target")
+    The maps named in `roster_maps` list every agent of the roster
+    (`preprocess`); any other map holds the learner's row alone (the
+    baselines' value recurrence) or stays empty.
+    """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, roster_maps=("value", "model", "target")):
         self.dim = dim
+        self.roster_maps = roster_maps
         self.value: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.model: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.target: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -52,12 +58,12 @@ class EmbeddingStore:
             m[agent_id] = (h_rows[row], c_rows[row])
 
 
-def preprocess(obs, store: EmbeddingStore, departures, arrivals, maps=None):
-    """Remove departed rows and zero-initialize arrivals, so the maps list
-    `obs`'s roster in its order. A new episode starts from a fresh store with
-    every agent arriving."""
+def preprocess(obs, store: EmbeddingStore, departures, arrivals):
+    """Remove departed rows and zero-initialize arrivals, so the store's
+    roster maps list `obs`'s roster in its order. A new episode starts from a
+    fresh store with every agent arriving."""
     zeros = np.zeros(store.dim)
-    for which in maps or EmbeddingStore.MAPS:
+    for which in store.roster_maps:
         m = store.map(which)
         for agent_id in departures:
             m.pop(agent_id, None)
@@ -126,19 +132,6 @@ def agent_model_forward(params, teams: Teams, state):
     hm, cm = embed_rows(params, teams.rows, *state)
     probs = model_rows(params, hm, teams.groups) if teams.mates else None
     return hm, cm, probs
-
-
-def agent_model_step(params, obs, store: EmbeddingStore, departures, arrivals):
-    """Advance the agent model's recurrence in `store` to `obs`.
-
-    Returns every agent's predicted action distribution (None when the
-    learner is alone) and the rows of the learner's teammates.
-    """
-    preprocess(obs, store, departures, arrivals, maps=("model",))
-    teams = Teams([obs])
-    hm, cm, probs = agent_model_forward(params, teams, stacked([store], "model"))
-    store.write("model", hm.data, cm.data)
-    return probs, teams.mates
 
 
 def init_embedding(in_dim, width, rng, values, prefix="embed."):

@@ -23,11 +23,12 @@ embeddings and utility heads run once over it, and each team's rows are
 marginalized into its learner's action values. Joint values and losses are
 batched too, with per-team segment sums.
 
-Every slot follows its roster: right after a step its stores are realigned
-to the next roster (`preprocess`). The target pathway keeps its own
-recurrent state, advanced at s' with the target parameters, while the s'
-teammate distributions come from the online agent model (advanced one step
-ahead of its stored states and then discarded).
+Every slot keeps its recurrent states in one `EmbeddingStore` and follows
+its roster: right after a step the store is realigned to the next roster
+(`preprocess`). The target pathway keeps its own recurrent state, advanced
+at s' with the target parameters, while the s' teammate distributions come
+from the online agent model (advanced one step ahead of its stored states
+and then discarded).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .model import (
     EmbeddingStore,
     Teams,
     agent_model_forward,
-    agent_model_step,
     embed_rows,
     env_dims,
     init_model_net,
@@ -123,9 +123,8 @@ class _Slot:
 
     session: object  # None when a policy acts
     obs: object = None
-    store: EmbeddingStore = None  # GPL: value/model/target maps; QL-AM: model map
+    store: EmbeddingStore = None  # every recurrence of every algorithm
     slot_map: SlotMap = None  # baselines only
-    states: dict = None  # baselines only: pathway -> (h, c) of the value recurrence
 
 
 def joint_actions(teams: Teams, results) -> list:
@@ -470,20 +469,23 @@ def collect_transitions(cfg: RunConfig, steps: int, seed: int) -> list:
 
 
 def heldout_nll(model_params, cfg: RunConfig, episodes) -> float:
-    """Mean per-action negative log likelihood over stored episodes."""
+    """Mean per-action negative log likelihood over stored episodes, each
+    stepped through the trainer's online agent-model pass (`model_pass`)."""
     total, count = 0.0, 0
     for episode in episodes:
-        store = EmbeddingStore(cfg.net.embedding_dim)
-        pending = ([], list(episode[0].roster_ids))
+        obs = episode[0].obs
+        slot = _Slot(None, obs, EmbeddingStore(cfg.net.embedding_dim, ("model",)))
+        preprocess(obs, slot.store, [], obs.order)
         for rec in episode:
-            probs, mates = agent_model_step(model_params, rec.obs, store, *pending)
-            if mates:
-                actions = [rec.joint_action[rec.roster_ids[r]] for r in mates]
-                total += float(agent_model_loss(probs, mates, actions).data)
-                count += len(mates)
-            pending = (rec.departures, rec.arrivals)
+            teams, probs = model_pass(model_params, [slot], write=True)
+            if teams.mates:
+                actions = [rec.joint_action[rec.roster_ids[r]] for r in teams.mates]
+                total += float(agent_model_loss(probs, teams.mates, actions).data)
+                count += len(teams.mates)
             if rec.done:
                 break
+            slot.obs = rec.next_obs
+            preprocess(slot.obs, slot.store, rec.departures, rec.arrivals)
     return total / max(count, 1)
 
 

@@ -1,11 +1,15 @@
-"""Reference forms of the grid-world hot paths, kept as bit-exact oracles.
+"""Reference forms kept as bit-exact oracles, and the test session's setup.
 
 Each function is the straightforward form that the package replaced with a
-cheaper one: per-call neighbour lists, a team-aware plan rebuilt for every
-teammate, an any(...) scan for occupied targets, and Chebyshev prey scores
-through a helper. Tests compare the package against them, either directly or
-by patching them all in and replaying whole sessions. Tests reach them
-through the ``reference_forms`` fixture.
+cheaper or more general one: per-call neighbour lists, a team-aware plan
+rebuilt for every teammate, an any(...) scan for occupied targets, Chebyshev
+prey scores through a helper, and a single-environment agent-model step.
+Tests compare the package against them, either directly or by patching them
+all in and replaying whole sessions. Tests reach them through the
+``reference_forms`` fixture.
+
+Every test runs with OpenBLAS on one thread, as the ``openteam`` command
+does: training bytes differ between thread counts.
 """
 
 from collections import deque
@@ -16,6 +20,13 @@ import pytest
 from openteam import teammates
 from openteam.envs import foraging, wolfpack
 from openteam.envs.base import DOWN, LEFT, RIGHT, STAY, UP, WOLF_ACTIONS, manhattan, move_target
+from openteam.harness.cli import pin_blas_threads
+from openteam.learner.model import Teams, agent_model_forward, preprocess, stacked
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    pin_blas_threads()
 
 
 def ref_in_bounds(pos, width, height):
@@ -117,6 +128,17 @@ def ref_prey_act(state, prey_index, rng):
     return int(choices[int(rng.integers(0, len(choices)))])
 
 
+def ref_agent_model_step(params, obs, store, departures, arrivals):
+    """Advance the agent model's recurrence in `store` to `obs`; returns
+    every agent's predicted action distribution (None when the learner is
+    alone) and the rows of the learner's teammates."""
+    preprocess(obs, store, departures, arrivals)
+    teams = Teams([obs])
+    hm, cm, probs = agent_model_forward(params, teams, stacked([store], "model"))
+    store.write("model", hm.data, cm.data)
+    return probs, teams.mates
+
+
 def patch_reference_forms(mp: pytest.MonkeyPatch) -> None:
     """Route sessions, teammates and env steps through the reference forms."""
     mp.setattr(teammates, "neighbors4", ref_neighbors4)
@@ -133,5 +155,6 @@ def reference_forms():
         wolf_team_aware=ref_wolf_team_aware,
         resolve_moves=ref_resolve_moves,
         prey_act=ref_prey_act,
+        agent_model_step=ref_agent_model_step,
         patch=patch_reference_forms,
     )

@@ -323,6 +323,29 @@ class TestCheckpoint:
             save_checkpoint({"value": nn.ParamStore({"w": np.zeros((4, 4))})}, path, global_step=2)
         assert path.read_bytes() == before
 
+    def test_payload_reaches_disk_before_the_rename(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.otck"
+        stores = {"value": nn.ParamStore({"w": np.arange(12.0).reshape(3, 4)})}
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            # Everything written so far is in the file, not in Python's buffer.
+            events.append(("fsync", os.fstat(fd).st_size))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(("replace", os.path.getsize(src)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        save_checkpoint(stores, path, global_step=3)
+        size = path.stat().st_size
+        assert events == [("fsync", size), ("replace", size)]
+        loaded, _ = load_checkpoint(path)
+        assert np.array_equal(loaded["value"]["w"].data, stores["value"]["w"].data)
+
     def test_garbage_manifest_rejected(self, tmp_path):
         path = tmp_path / "x.otck"
         path.write_bytes(b"\x80\x81 not json\n12345678")

@@ -12,7 +12,6 @@ from openteam.envs.session import make_session
 from openteam.learner.model import (
     EmbeddingStore,
     Teams,
-    agent_model_step,
     embed_rows,
     env_dims,
     init_model_net,
@@ -284,11 +283,11 @@ class TestTeammateProbs:
         probs = model_rows(zeroed, h, [(0, 3)])
         assert np.allclose(probs.data[1:], 0.25, atol=1e-12)
 
-    def test_no_teammates_empty_output(self):
+    def test_no_teammates_empty_output(self, reference_forms):
         rng = np.random.default_rng(11)
         params = init_model_net(6, 4, NET, rng)
         store = EmbeddingStore(NET.embedding_dim)
-        probs, mates = agent_model_step(params, obs_for([0]), store, [], [0])
+        probs, mates = reference_forms.agent_model_step(params, obs_for([0]), store, [], [0])
         assert mates == [] and probs is None
 
     def test_rows_are_distributions(self):

@@ -19,8 +19,8 @@ from openteam.learner.baseline import (
 )
 from openteam.envs.session import make_session
 from openteam.learner.model import (
+    EmbeddingStore,
     agent_model_forward,
-    agent_model_step,
     env_dims,
     init_model_net,
     preprocess,
@@ -30,6 +30,7 @@ from openteam.learner.trainer import (
     GplPolicy,
     Trainer,
     collect_transitions,
+    heldout_nll,
     init_params,
     mean_ci,
     supervised_steps,
@@ -210,10 +211,11 @@ class TestSharedForward:
 
 
 class TestBatchedAgentModel:
-    def test_stacked_forward_matches_per_env_oracle(self, monkeypatch):
+    def test_stacked_forward_matches_per_env_oracle(self, monkeypatch, reference_forms):
         # QL-AM runs its agent model once over all environments on each
-        # pathway; env by env, `agent_model_step` on copies of the stores is
-        # the oracle for both.
+        # pathway; env by env, the reference `agent_model_step` on copies of
+        # the stores is the oracle for both.
+        agent_model_step = reference_forms.agent_model_step
         pool = ("wolf.H1", "wolf.H2")
         cfg = tiny_cfg(
             "QL-AM",
@@ -274,7 +276,7 @@ class TestBatchedAgentModel:
         ):
             written = copy.deepcopy(store)
             if not res.done:
-                preprocess(res.obs, written, res.departures, res.arrivals, maps=("model",))
+                preprocess(res.obs, written, res.departures, res.arrivals)
             assert list(slot.store.model) == list(written.model)
             for j, (h, c) in written.model.items():
                 got_h, got_c = slot.store.model[j]
@@ -314,49 +316,67 @@ class TestStoresFollowTheRoster:
         openness = OpennessConfig((2, 5), (2, 4), 3, self.POOL)
         return tiny_cfg(algorithm, parallel_envs=3, seed=1, openness_train=openness)
 
-    @pytest.mark.parametrize("algorithm", ["GPL-Q", "QL-AM", "QL"])
+    # The maps of each algorithm's store that follow the roster.
+    ROSTER_MAPS = {
+        "GPL-Q": ("value", "model", "target"),
+        "GPL-SPI": ("value", "model", "target"),
+        "QL-AM": ("model",),
+        "QL": (),
+    }
+
+    def assert_store_follows(self, algorithm, slot):
+        # Roster maps list the roster in order; the baselines' value and
+        # target maps hold the learner's row alone, and QL, which has no
+        # agent model, leaves its model map empty.
+        store, obs = slot.store, slot.obs
+        assert isinstance(store, EmbeddingStore)
+        assert store.roster_maps == self.ROSTER_MAPS[algorithm]
+        for which in ("value", "model", "target"):
+            if which in store.roster_maps:
+                want = obs.order
+            elif which == "model":
+                want = []
+            else:
+                want = [obs.learner_id]
+            assert list(store.map(which)) == want
+
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL-AM", "QL"])
     def test_trainer_stores(self, algorithm):
         trainer = Trainer(self.cfg(algorithm))
         rosters = [list(slot.obs.order) for slot in trainer.slots]
         changes = 0
+        advanced = set()  # maps whose learner row has left its zero start
         for _ in range(40):
             trainer.run_iteration()
             for e, slot in enumerate(trainer.slots):
                 changes += slot.obs.order != rosters[e]
                 rosters[e] = list(slot.obs.order)
-                if algorithm == "QL":
-                    assert slot.store is None
-                elif algorithm == "QL-AM":
-                    assert list(slot.store.model) == slot.obs.order
-                    assert not slot.store.value and not slot.store.target
-                else:
-                    for which in ("value", "model", "target"):
-                        assert list(slot.store.map(which)) == slot.obs.order
+                self.assert_store_follows(algorithm, slot)
+                for which in ("value", "model", "target"):
+                    learner = slot.store.map(which).get(slot.obs.learner_id)
+                    if learner is not None and all(np.any(x != 0) for x in learner):
+                        advanced.add(which)
         assert changes >= 10
+        used = {"value", "target"} if algorithm == "QL" else {"value", "model", "target"}
+        assert advanced == used
 
-    @pytest.mark.parametrize("algorithm", ["GPL-Q", "QL-AM"])
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL-AM", "QL"])
     def test_policy_stores(self, algorithm):
         cfg = self.cfg(algorithm)
         trainer = Trainer(cfg)
         policy = GplPolicy(cfg, trainer.value_params, trainer.model_params, np.random.default_rng(0))
         session = make_session(cfg.env, cfg.openness_train, np.random.default_rng(5))
-
-        def listed():
-            if algorithm == "GPL-Q":
-                return [list(policy.slot.store.value), list(policy.slot.store.model)]
-            return [list(policy.slot.store.model), policy.slot.obs.order]
-
         changes = 0
         for _ in range(2):
             obs, done = session.reset(), False
             policy.reset(obs)
             while not done:
-                assert listed() == [obs.order, obs.order]
+                self.assert_store_follows(algorithm, policy.slot)
                 res = session.step(policy.act(obs))
                 policy.observe(res)
                 changes += bool(res.departures or res.arrivals)
                 obs, done = res.obs, res.done
-            assert listed() == [obs.order, obs.order]
+            self.assert_store_follows(algorithm, policy.slot)
         assert changes >= 5
 
     @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
@@ -387,6 +407,37 @@ class TestCollectTransitions:
             for rec in episode[:-1]:
                 assert not rec.done
             assert set(rec.joint_action) == set(rec.roster_ids)
+
+
+class TestHeldoutNll:
+    @staticmethod
+    def reference_nll(params, cfg, episodes, agent_model_step):
+        # Episode by episode, the single-environment step on a fresh store,
+        # applying each record's roster change before the next record.
+        total, count = 0.0, 0
+        for episode in episodes:
+            store = EmbeddingStore(cfg.net.embedding_dim, ("model",))
+            pending = ([], list(episode[0].roster_ids))
+            for rec in episode:
+                probs, mates = agent_model_step(params, rec.obs, store, *pending)
+                if mates:
+                    actions = [rec.joint_action[rec.roster_ids[r]] for r in mates]
+                    total += float(agent_model_loss(probs, mates, actions).data)
+                    count += len(mates)
+                pending = (rec.departures, rec.arrivals)
+                if rec.done:
+                    break
+        return total / max(count, 1)
+
+    @pytest.mark.parametrize("env", ["wolfpack", "lbf"])
+    def test_matches_the_per_episode_reference(self, env, reference_forms):
+        cfg = default_config(env, "GPL-Q")
+        episodes = collect_transitions(cfg, steps=3000, seed=11)
+        assert len(episodes) > 3 and any(rec.arrivals for ep in episodes for rec in ep)
+        params = train_agent_model_supervised(cfg, episodes[:-3], seed=11, epochs=1, window=4)
+        got = heldout_nll(params, cfg, episodes)
+        want = self.reference_nll(params, cfg, episodes, reference_forms.agent_model_step)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestSupervisedWindows:
