@@ -76,7 +76,16 @@ def prey_act(state: WolfState, prey_index: int, rng) -> int:
     scores = []
     for action in WOLF_ACTIONS:
         r, c = move_target(pos, action, state.width, state.height)
-        scores.append(min((max(abs(r - hr), abs(c - hc)) for hr, hc in hunters), default=0))
+        # Chebyshev distance to the nearest hunter (0 without hunters).
+        near = None
+        for hr, hc in hunters:
+            dr = r - hr if r >= hr else hr - r
+            dc = c - hc if c >= hc else hc - c
+            if dc > dr:
+                dr = dc
+            if near is None or dr < near:
+                near = dr
+        scores.append(0 if near is None else near)
     best = max(scores)
     choices = [a for a, s in zip(WOLF_ACTIONS, scores) if s == best]
     return int(choices[int(rng.integers(0, len(choices)))])

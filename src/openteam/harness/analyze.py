@@ -21,6 +21,7 @@ import json
 
 import numpy as np
 
+from .. import tensor as T
 from ..config import GPL_ALGORITHMS, RunConfig
 from ..envs.session import make_session
 from ..learner.trainer import GplPolicy
@@ -86,7 +87,7 @@ def analyze_pairwise(
                 for k in ids:
                     if j == k:
                         continue
-                    table = tables.pairwise(j, k).data
+                    table = T.raw(tables.pairwise(j, k))
                     pair_means.append(action_mean(table, joint[j]))
                     pair_devs.append(deviation(table, joint[j], joint[k], literal=literal))
             if pair_means:

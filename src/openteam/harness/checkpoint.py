@@ -48,36 +48,36 @@ def save_checkpoint(stores: dict, path, config_hash: str = "", global_step: int 
 
 def load_checkpoint(path):
     """Returns (stores, manifest); rejects corrupt manifests and payloads
-    whose length does not match the manifest exactly."""
+    whose length does not match the manifest exactly. Each parameter is
+    read straight into an array of its own, so a load holds no second copy
+    of the payload."""
     with open(path, "rb") as fh:
         header = fh.readline()
-        payload = fh.read()
-    try:
-        manifest = json.loads(header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint manifest: {exc}") from exc
-    if manifest.get("format") != FORMAT:
-        raise CheckpointError(f"unsupported checkpoint format {manifest.get('format')!r}")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        try:
+            manifest = json.loads(header.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"corrupt checkpoint manifest: {exc}") from exc
+        if manifest.get("format") != FORMAT:
+            raise CheckpointError(f"unsupported checkpoint format {manifest.get('format')!r}")
 
-    expected = 0
-    for entries in manifest["stores"].values():
-        for _, shape in entries:
-            expected += int(np.prod(shape, dtype=np.int64)) * 8
-    if len(payload) != expected:
-        raise CheckpointError(
-            f"payload length {len(payload)} does not match manifest ({expected} bytes)"
-        )
+        expected = 0
+        for entries in manifest["stores"].values():
+            for _, shape in entries:
+                expected += int(np.prod(shape, dtype=np.int64)) * 8
+        if size != expected:
+            raise CheckpointError(
+                f"payload length {size} does not match manifest ({expected} bytes)"
+            )
 
-    stores = {}
-    offset = 0
-    for name, entries in manifest["stores"].items():
-        values = {}
-        for pname, shape in entries:
-            count = int(np.prod(shape, dtype=np.int64))
-            arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-            values[pname] = arr.astype(np.float64).reshape(shape)
-            offset += count * 8
-        stores[name] = ParamStore(values)
+        stores = {}
+        for name, entries in manifest["stores"].items():
+            values = {}
+            for pname, shape in entries:
+                values[pname] = np.empty(shape, dtype="<f8")
+                if fh.readinto(values[pname]) != values[pname].nbytes:
+                    raise CheckpointError(f"payload of {path} ended early at {name}.{pname}")
+            stores[name] = ParamStore(values)
     return stores, manifest
 
 

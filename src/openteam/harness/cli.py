@@ -128,13 +128,13 @@ def cli(argv) -> int:
     return 2
 
 
-def pin_blas_threads():
-    """Run the OpenBLAS that numpy loaded on one thread (no-op without one).
+# (prefix, suffix) of the thread-count symbols of the OpenBLAS builds numpy ships.
+_OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
 
-    Training bytes differ between BLAS thread counts, and a second job on the
-    machine makes extra threads contend. The library is already loaded by the
-    time `main` runs, so an environment variable would come too late.
-    """
+
+def _openblas(verb):
+    """(library file name, `<verb>_num_threads` function) of the OpenBLAS
+    that numpy loaded, or (None, None) without one."""
     import ctypes
     from pathlib import Path
 
@@ -143,17 +143,40 @@ def pin_blas_threads():
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
         lib = ctypes.CDLL(str(path))
-        for symbol in (
-            "scipy_openblas_set_num_threads64_",
-            "openblas_set_num_threads64_",
-            "openblas_set_num_threads",
-        ):
-            fn = getattr(lib, symbol, None)
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            fn = getattr(lib, f"{prefix}{verb}_num_threads{suffix}", None)
             if fn is not None:
-                fn.argtypes = [ctypes.c_int]
-                fn.restype = None
-                fn(1)
-                return
+                return path.name, fn
+    return None, None
+
+
+def pin_blas_threads():
+    """Run the OpenBLAS that numpy loaded on one thread (no-op without one).
+
+    Training bytes differ between BLAS thread counts, and a second job on the
+    machine makes extra threads contend. The library is already loaded by the
+    time `main` runs, so an environment variable would come too late.
+    """
+    import ctypes
+
+    _, fn = _openblas("set")
+    if fn is not None:
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = None
+        fn(1)
+
+
+def blas_threads() -> dict:
+    """The loaded OpenBLAS's file name and the thread count it reports (both
+    None without OpenBLAS)."""
+    import ctypes
+
+    name, fn = _openblas("get")
+    if fn is None:
+        return {"library": None, "threads": None}
+    fn.argtypes = []
+    fn.restype = ctypes.c_int
+    return {"library": name, "threads": int(fn())}
 
 
 def main():

@@ -14,6 +14,7 @@ from ..envs.session import make_session
 from ..learner.model import env_dims
 from ..learner.trainer import GplPolicy, init_params, mean_ci, train
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, shape_diff
+from .cli import blas_threads
 from .metrics import MetricRecord, append_record
 
 
@@ -27,14 +28,21 @@ def load_config(path) -> RunConfig:
         return config_from_dict(json.load(fh))
 
 
+def _write_json(path, value):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, indent=2)
+        fh.write("\n")
+
+
 def run_training(cfg: RunConfig, out_dir) -> str:
-    """Train per config; writes a config copy, the metric stream, and one
-    checkpoint per boundary into `out_dir`. Returns the directory."""
+    """Train per config; writes a config copy, the BLAS library and thread
+    count (`blas.json`; training bytes depend on the count), the metric
+    stream, and one checkpoint per boundary into `out_dir`. Returns the
+    directory."""
     cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "config.json"), config_to_dict(cfg))
+    _write_json(os.path.join(out_dir, "blas.json"), blas_threads())
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     if os.path.exists(metrics_path):
         os.remove(metrics_path)

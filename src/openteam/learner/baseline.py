@@ -26,7 +26,6 @@ import numpy as np
 from .. import nn
 from .. import tensor as T
 from ..config import RunConfig
-from ..tensor import Tensor
 from .model import EmbeddingStore, embed_rows, init_embedding, preprocess, stacked
 from .values import one_hot
 
@@ -97,12 +96,13 @@ def padded_rows(obs_list, slot_maps, width, teams=None, probs=None) -> np.ndarra
     action distribution of length `width`.
     """
     rows = []
+    probs = T.raw(probs)
     for e, (obs, slot_map) in enumerate(zip(obs_list, slot_maps)):
         dists = None
         if teams is not None:
             lo, hi = teams.slices[e]
             learner = teams.learner_rows[lo]
-            dists = {obs.order[r - lo]: probs.data[r] for r in range(lo, hi) if r != learner}
+            dists = {obs.order[r - lo]: probs[r] for r in range(lo, hi) if r != learner}
         rows.append(pad_observation(obs, slot_map.n_slots + 1, slot_map, dists, width))
     return np.stack(rows)
 
@@ -121,7 +121,7 @@ def init_baseline_net(input_len, action_count, net_cfg, rng) -> nn.ParamStore:
 def ql_baseline_forward(params, padded, state):
     """(action values (n, |A|), (h', c')) for n padded input rows (or one)."""
     rows = np.atleast_2d(padded)
-    expected = params["embed.fc.w0"].data.shape[0]
+    expected = params["embed.fc.w0"].shape[0]
     if rows.shape[-1] != expected:
         raise ValueError(f"padded input length {rows.shape[-1]} != expected {expected}")
     h, c = embed_rows(params, rows, *state)
@@ -170,10 +170,11 @@ class PaddedStep:
         rows = padded_rows(obs_list, slot_maps, self.action_count, teams, probs)
         stores = [slot.store for slot in slots]
         q, (h, c) = ql_baseline_forward(params, rows, stacked(stores, which))
+        h, c = T.raw(h), T.raw(c)
         for i, store in enumerate(stores):
-            store.write(which, h.data[i : i + 1], c.data[i : i + 1])
-        return list(q.data), q
+            store.write(which, h[i : i + 1], c[i : i + 1])
+        return list(T.raw(q)), q
 
     def taken(self, q, results, actions):
         """The action value of each learner action taken."""
-        return T.sum_axis(q * Tensor(one_hot(actions, self.action_count)), 1)
+        return T.sum_axis(q * one_hot(actions, self.action_count), 1)

@@ -21,7 +21,6 @@ import numpy as np
 from .. import nn
 from .. import tensor as T
 from ..envs.session import make_session
-from ..tensor import Tensor
 from .values import model_rows
 
 
@@ -95,11 +94,8 @@ def stacked(stores, which: str):
 
 def embed_rows(params, batch, h, c, prefix="embed."):
     """Two FC layers then one LSTM step over a row batch of agents."""
-    x = batch if isinstance(batch, Tensor) else Tensor(batch)
-    x = T.leaky_relu(T.matmul(x, params[f"{prefix}fc.w0"]) + params[f"{prefix}fc.b0"])
+    x = T.leaky_relu(T.matmul(batch, params[f"{prefix}fc.w0"]) + params[f"{prefix}fc.b0"])
     x = T.leaky_relu(T.matmul(x, params[f"{prefix}fc.w1"]) + params[f"{prefix}fc.b1"])
-    h = h if isinstance(h, Tensor) else Tensor(h)
-    c = c if isinstance(c, Tensor) else Tensor(c)
     return nn.lstm_step(params, x, (h, c), prefix=f"{prefix}lstm.")
 
 

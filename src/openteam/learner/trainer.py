@@ -28,7 +28,9 @@ its roster: right after a step the store is realigned to the next roster
 (`preprocess`). The target pathway keeps its own recurrent state, advanced
 at s' with the target parameters, while the s' teammate distributions come
 from the online agent model (advanced one step ahead of its stored states
-and then discarded).
+and then discarded). Only the online pathway is taped: the target pathway
+and acting pass the stores' plain arrays (`ParamStore.arrays`), so they
+build no Tensor.
 """
 
 from __future__ import annotations
@@ -146,9 +148,16 @@ def model_pass(params, slots, write):
     stores = [slot.store for slot in slots]
     h, c, probs = agent_model_forward(params, teams, stacked(stores, "model"))
     if write:
+        h, c = T.raw(h), T.raw(c)
         for (lo, hi), store in zip(teams.slices, stores):
-            store.write("model", h.data[lo:hi], c.data[lo:hi])
+            store.write("model", h[lo:hi], c[lo:hi])
     return teams, probs
+
+
+def plain(store):
+    """The arrays of parameter store `store` (None stays None), for passes
+    that run off the tape."""
+    return None if store is None else store.arrays
 
 
 class GplStep:
@@ -182,12 +191,13 @@ class GplStep:
         stores = [slot.store for slot in slots]
         h, c = embed_rows(params, teams.rows, *stacked(stores, which))
         sing, fac = utility_rows(params, h, teams.learner_rows)
+        h, c, sing_rows, fac_rows, probs = map(T.raw, (h, c, sing, fac, probs))
         qbars = []
         for (lo, hi), store in zip(teams.slices, stores):
-            store.write(which, h.data[lo:hi], c.data[lo:hi])
+            store.write(which, h[lo:hi], c[lo:hi])
             learner = teams.learner_rows[lo]
             mates = [r for r in range(lo, hi) if r != learner]
-            team = (sing.data[lo:hi], fac.data[lo:hi], probs.data[mates] if mates else None)
+            team = (sing_rows[lo:hi], fac_rows[lo:hi], probs[mates] if mates else None)
             qbars.append(marginal_values(*team, learner - lo, rank))
         return qbars, (teams, sing, fac)
 
@@ -204,7 +214,7 @@ def make_step(cfg: RunConfig, rng, value_params):
     head."""
     if cfg.algorithm in GPL_ALGORITHMS:
         return GplStep(cfg)
-    head_bias = value_params[f"head.b{nn._last_layer(value_params, 'head.')}"]
+    head_bias = value_params[nn._layers(value_params, "head.")[-1][1]]
     return PaddedStep(cfg, rng, head_bias.shape[-1])
 
 
@@ -321,8 +331,8 @@ class Trainer:
         if not live:
             return targets
         slots = [self.slots[e] for e in live]
-        teams, probs = model_pass(self.model_params, slots, write=False)
-        qbars, _ = self.step.values(self.target_params, slots, teams, probs, "target")
+        teams, probs = model_pass(plain(self.model_params), slots, write=False)
+        qbars, _ = self.step.values(self.target_params.arrays, slots, teams, probs, "target")
         for e, qbar in zip(live, qbars):
             targets[e] = td_target(results[e].reward, qbar, self.step.mode, cfg.gamma, cfg.tau)
         return targets
@@ -419,8 +429,8 @@ class GplPolicy:
         slot = self.slot
         if obs is not slot.obs:
             raise ValueError("act needs the observation the policy last saw (reset or observe)")
-        teams, probs = model_pass(self.model_params, [slot], write=True)
-        qbars, out = self.step.values(self.value_params, [slot], teams, probs, "value")
+        teams, probs = model_pass(plain(self.model_params), [slot], write=True)
+        qbars, out = self.step.values(self.value_params.arrays, [slot], teams, probs, "value")
         qbar = self.last_qbar = qbars[0]
         if isinstance(self.step, GplStep):
             _, singular, factors = out
@@ -477,10 +487,10 @@ def heldout_nll(model_params, cfg: RunConfig, episodes) -> float:
         slot = _Slot(None, obs, EmbeddingStore(cfg.net.embedding_dim, ("model",)))
         preprocess(obs, slot.store, [], obs.order)
         for rec in episode:
-            teams, probs = model_pass(model_params, [slot], write=True)
+            teams, probs = model_pass(model_params.arrays, [slot], write=True)
             if teams.mates:
                 actions = [rec.joint_action[rec.roster_ids[r]] for r in teams.mates]
-                total += float(agent_model_loss(probs, teams.mates, actions).data)
+                total += float(agent_model_loss(probs, teams.mates, actions))
                 count += len(teams.mates)
             if rec.done:
                 break
@@ -518,15 +528,15 @@ def window_loss(params, steps, targets, window: int, dim: int) -> Tensor:
     are dropped, and the state stays on the tape throughout, so the loss
     reaches every step of the window.
     """
-    keys, h, c = [], Tensor(np.zeros((0, dim))), Tensor(np.zeros((0, dim)))
-    zero = Tensor(np.zeros((1, dim)))
+    keys, h, c = [], np.zeros((0, dim)), np.zeros((0, dim))
+    zero = np.zeros((1, dim))
     for back in range(window - 1, -1, -1):
         rows, groups, new_keys, n = [], [], [], 0
         for k, (e, t) in enumerate(targets):
             if t < back:
                 continue
             x, ids, _, _ = steps[e][t - back]
-            rows.append(x if isinstance(x, Tensor) else Tensor(x))
+            rows.append(x)
             groups.append((n, len(ids)))
             new_keys.extend((k, j) for j in ids)
             n += len(ids)

@@ -36,7 +36,8 @@ PROB_FLOOR = 1e-12
 
 @dataclass
 class UtilityTables:
-    """Per-agent singular utility vectors and low-rank pairwise factors."""
+    """Per-agent singular utility vectors and low-rank pairwise factors
+    (Tensors, or plain arrays from a pass off the tape)."""
 
     learner_id: int
     agent_ids: list[int]
@@ -70,7 +71,7 @@ class AgentModelOutput:
 
     def vector(self, agent_id) -> Tensor:
         row = T.select_rows(self.probs, [self.teammate_ids.index(agent_id)])
-        return T.reshape(row, (self.probs.data.shape[-1],))
+        return T.reshape(row, (self.probs.shape[-1],))
 
 
 def utility_rows(params, embeddings: Tensor, learner_rows):
@@ -107,17 +108,17 @@ def joint_values(singular: Tensor, factors: Tensor, actions, segments, rank: int
     sum_j S_j(a_j) + sum_{j != k} g_j . g_k with g_j = F_j[:, a_j].
     """
     n_rows = len(actions)
-    onehot = one_hot(actions, singular.data.shape[-1])
+    onehot = one_hot(actions, singular.shape[-1])
     rep = np.repeat(onehot, rank, axis=0)
     fac2 = T.reshape(factors, (n_rows * rank, onehot.shape[1]))
-    g = T.reshape(T.sum_axis(fac2 * Tensor(rep), 1), (n_rows, rank))
+    g = T.reshape(T.sum_axis(fac2 * rep, 1), (n_rows, rank))
     g_team = T.segment_sum(g, segments)  # (teams, rank)
     # Ordered pairs within a team: |sum g|^2 - sum |g|^2.
     pair = T.sum_axis(g_team * g_team, 1) - T.reshape(
         T.segment_sum(T.reshape(T.sum_axis(g * g, 1), (n_rows, 1)), segments),
         (len(segments),),
     )
-    singles_rows = T.reshape(T.sum_axis(singular * Tensor(onehot), 1), (n_rows, 1))
+    singles_rows = T.reshape(T.sum_axis(singular * onehot, 1), (n_rows, 1))
     singles = T.reshape(T.segment_sum(singles_rows, segments), (len(segments),))
     return singles + pair
 
@@ -196,12 +197,12 @@ def marginal_values(sing, fac, probs, learner_row: int, rank: int) -> np.ndarray
     return own + cross + (singles + pair_const)
 
 
-def spi_policy(qbar, tau: float) -> Tensor:
-    """Boltzmann distribution over action values at temperature tau."""
+def spi_policy(qbar, tau: float):
+    """Boltzmann distribution over action values at temperature tau (a plain
+    array for plain values)."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    q = qbar if isinstance(qbar, Tensor) else Tensor(qbar)
-    return T.softmax(T.scalar_mul(q, 1.0 / tau))
+    return T.softmax(T.scalar_mul(qbar, 1.0 / tau))
 
 
 def td_target(reward, next_qbar, mode, gamma, tau=None) -> float:
@@ -209,16 +210,16 @@ def td_target(reward, next_qbar, mode, gamma, tau=None) -> float:
     is its bare reward)."""
     if mode not in ("QL", "SPI"):
         raise ValueError(f"unknown target mode {mode!r}")
-    q = next_qbar.data if isinstance(next_qbar, Tensor) else np.asarray(next_qbar)
+    q = np.asarray(T.raw(next_qbar))
     if mode == "QL":
         return float(reward + gamma * q.max())
-    p = spi_policy(Tensor(q), tau).data
+    p = spi_policy(q, tau)
     return float(reward + gamma * float(p @ q))
 
 
 def value_loss(joint, targets) -> Tensor:
     """Half the summed squared TD error; the targets are constants."""
-    diff = joint - Tensor(np.asarray(targets, dtype=np.float64))
+    diff = joint - np.asarray(targets, dtype=np.float64)
     return T.scalar_mul(T.sum_all(diff * diff), 0.5)
 
 
@@ -229,11 +230,11 @@ def agent_model_loss(probs: Tensor, rows, actions) -> Tensor:
     Probabilities are floored at 1e-12 (with a diagnostic) so a dead softmax
     unit cannot produce an infinite loss.
     """
-    onehot = one_hot(actions, probs.data.shape[-1])
-    p = T.sum_axis(T.select_rows(probs, rows) * Tensor(onehot), 1)
-    if float(p.data.min()) < PROB_FLOOR:
+    onehot = one_hot(actions, probs.shape[-1])
+    p = T.sum_axis(T.select_rows(probs, rows) * onehot, 1)
+    if float(T.raw(p).min()) < PROB_FLOOR:
         log.warning("agent-model probability below floor; clamping at %g", PROB_FLOOR)
-    floored = T.relu(p - Tensor(PROB_FLOOR)) + Tensor(PROB_FLOOR)
+    floored = T.relu(p - PROB_FLOOR) + PROB_FLOOR
     return T.scalar_mul(T.sum_all(T.log(floored)), -1.0)
 
 
@@ -243,9 +244,9 @@ def act(qbar, mode, explore, rng) -> int:
     QL: epsilon-greedy with uniform tie-breaking among maximizers.
     SPI: sample the Boltzmann policy at temperature `explore`.
     """
-    q = qbar.data if isinstance(qbar, Tensor) else np.asarray(qbar)
+    q = np.asarray(T.raw(qbar))
     if mode == "SPI":
-        p = spi_policy(Tensor(q), explore).data
+        p = spi_policy(q, explore)
         return int(rng.choice(len(q), p=p))
     if not 0.0 <= explore <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {explore}")
@@ -255,6 +256,11 @@ def act(qbar, mode, explore, rng) -> int:
 
 
 def greedy(q, rng) -> int:
-    """An action of maximal value, ties broken uniformly with one draw."""
+    """An action of maximal value, ties broken uniformly with one draw.
+
+    Raises ValueError when no value equals the maximum, which only a NaN
+    among the action values brings about."""
     best = np.flatnonzero(q == q.max())
+    if not len(best):
+        raise ValueError(f"action values are not finite: {q}")
     return int(best[rng.integers(0, len(best))])

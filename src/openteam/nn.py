@@ -3,6 +3,10 @@
 Parameters live in a :class:`ParamStore` (name -> Tensor). Updates are
 functional: :func:`adam_step` and :func:`polyak_update` return new stores, so
 readers holding the old store never observe a half-applied update.
+
+The blocks take their parameters as any name -> value map: a store, the
+leaves of `ParamStore.bind` (the tape records the pass) or the plain arrays
+of `ParamStore.arrays` (no tape, and plain arrays out).
 """
 
 from __future__ import annotations
@@ -16,10 +20,16 @@ from .tensor import OpError, Tensor
 
 
 class ParamStore:
-    """Named, ordered map of parameter tensors with fixed shapes."""
+    """Named, ordered map of parameter tensors with fixed shapes.
+
+    `arrays` maps the same names to the read-only arrays themselves, for
+    passes off the tape; a store never changes, so it builds that map once,
+    on first use.
+    """
 
     def __init__(self, values):
         self._values = {}
+        self._arrays = None
         for name, value in values.items():
             if name in self._values:
                 raise ValueError(f"duplicate parameter name: {name}")
@@ -36,6 +46,12 @@ class ParamStore:
 
     def names(self):
         return list(self._values)
+
+    @property
+    def arrays(self) -> dict:
+        if self._arrays is None:
+            self._arrays = {name: t.data for name, t in self._values.items()}
+        return self._arrays
 
     def items(self):
         return self._values.items()
@@ -119,22 +135,44 @@ _ACTIVATIONS = {
 }
 
 
-def mlp_forward(params, x: Tensor, schedule=None, prefix="") -> Tensor:
+# prefix -> ((weight, bias) name per layer, first weight name past the last).
+_LAYER_NAMES = {}
+
+
+def _layers(params, prefix):
+    """The (weight, bias) names of the MLP under `prefix`, in layer order.
+
+    The names of the layer count last seen under a prefix are reused when
+    `params` holds that count's last weight and not the next one.
+    """
+    cached = _LAYER_NAMES.get(prefix)
+    if cached is not None and cached[0][-1][0] in params and cached[1] not in params:
+        return cached[0]
+    if f"{prefix}w0" not in params:
+        raise OpError(f"mlp_forward: no layers under prefix {prefix!r}")
+    count = 1
+    while f"{prefix}w{count}" in params:
+        count += 1
+    names = tuple((f"{prefix}w{layer}", f"{prefix}b{layer}") for layer in range(count))
+    _LAYER_NAMES[prefix] = (names, f"{prefix}w{count}")
+    return names
+
+
+def mlp_forward(params, x, schedule=None, prefix=""):
     """Alternating affine + nonlinearity.
 
     `schedule` holds one activation name (or None) per layer; the default is
     leaky-relu everywhere except the final, linear layer.
     """
-    if f"{prefix}w0" not in params:
-        raise OpError(f"mlp_forward: no layers under prefix {prefix!r}")
-    last = _last_layer(params, prefix)
+    layers = _layers(params, prefix)
+    last = len(layers) - 1
     if schedule is not None and len(schedule) != last + 1:
         raise OpError(
             f"mlp_forward: schedule length {len(schedule)} != layer count {last + 1}"
         )
     out = x
-    for layer in range(last + 1):
-        out = T.matmul(out, params[f"{prefix}w{layer}"]) + params[f"{prefix}b{layer}"]
+    for layer, (w, b) in enumerate(layers):
+        out = T.matmul(out, params[w]) + params[b]
         if schedule is not None:
             out = _ACTIVATIONS[schedule[layer]](out)
         elif layer < last:
@@ -142,14 +180,14 @@ def mlp_forward(params, x: Tensor, schedule=None, prefix="") -> Tensor:
     return out
 
 
-def lstm_step(params, x: Tensor, state, prefix=""):
+def lstm_step(params, x, state, prefix=""):
     """One gated-recurrence step.
 
     i, f, o = sigmoid(affine), g = tanh(affine); c' = f*c + i*g,
     h' = o*tanh(c'). Inputs are row batches: x (n, in), h and c (n, hidden).
     """
     h, c = state
-    hidden = h.data.shape[-1]
+    hidden = h.shape[-1]
     z = T.matmul(T.concat_last([x, h]), params[f"{prefix}w"]) + params[f"{prefix}b"]
     # One sigmoid over the whole gate slab; its g columns are never read.
     gates = T.sigmoid(z)
@@ -193,7 +231,7 @@ def graph_edges(node_values: np.ndarray, groups):
     return src, dst, segments, agg_map
 
 
-def graph_block_grouped(params, nodes: Tensor, groups, prefix="") -> Tensor:
+def graph_block_grouped(params, nodes, groups, prefix=""):
     """Message passing over one or more independent fully connected graphs.
 
     `nodes` stacks the node inputs of every graph; `groups` lists
@@ -202,30 +240,22 @@ def graph_block_grouped(params, nodes: Tensor, groups, prefix="") -> Tensor:
     combines its input with the sum of incoming edge embeddings (zero when
     the node is alone in its graph).
     """
-    src, dst, segments, agg_map = graph_edges(nodes.data, groups)
+    src, dst, segments, agg_map = graph_edges(T.raw(nodes), groups)
     edge_prefix, node_prefix = prefix + "edge.", prefix + "node."
-    edge_out = params[f"{edge_prefix}b{_last_layer(params, edge_prefix)}"].data.shape[-1]
+    edge_out = params[_layers(params, edge_prefix)[-1][1]].shape[-1]
     if src:
         pair = T.concat_last([T.select_rows(nodes, src), T.select_rows(nodes, dst)])
         edges = mlp_forward(params, pair, prefix=edge_prefix)
         agg_rows = T.segment_sum(edges, segments)
         if np.any(agg_map < 0):
-            zero = Tensor(np.zeros((1, edge_out)))
-            stacked = T.concat_first([agg_rows, zero])
+            stacked = T.concat_first([agg_rows, np.zeros((1, edge_out))])
             index = np.where(agg_map < 0, len(segments), agg_map)
             agg = T.select_rows(stacked, index)
         else:
             agg = T.select_rows(agg_rows, agg_map)
     else:
-        agg = Tensor(np.zeros((nodes.data.shape[0], edge_out)))
+        agg = np.zeros((nodes.shape[0], edge_out))
     return mlp_forward(params, T.concat_last([nodes, agg]), prefix=node_prefix)
-
-
-def _last_layer(params, prefix):
-    layer = 0
-    while f"{prefix}w{layer + 1}" in params:
-        layer += 1
-    return layer
 
 
 @dataclass

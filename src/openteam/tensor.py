@@ -5,10 +5,13 @@ through :func:`forward_op`, which records a node on a :class:`Tape` whenever
 one of its inputs is attached to a tape. :func:`backward` replays the tape in
 reverse to produce gradients for every attached tensor.
 
-Work off the tape (evaluation, the target pathway) runs the same kernels and
-only wraps their result: no node and no id. Kernels leave bad shapes for
-numpy to reject and only then build the error message, so a valid op pays
-for no check.
+Off the tape, values are plain numpy arrays: plain arrays in give the
+kernel's plain array out, with no node, no id and no wrapper, and a
+:class:`Tensor` comes out only when a Tensor goes in. A plain input to a
+taped op is a constant; its node records the id None. Both forms run the
+same kernels, so their outputs are bit-identical. Kernels leave bad shapes
+for numpy to reject and only then build the error message, so a valid op
+pays for no check.
 
 Tensors are immutable values (their arrays are marked read-only) and can be
 shared freely; a Tape belongs to one logical execution stream.
@@ -53,31 +56,44 @@ class Tensor:
         tag = f", tid={self.tid}" if self.tape is not None else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
+    # numpy defers `ndarray op Tensor` to the reflected operator below
+    # instead of building an object array.
+    __array_ufunc__ = None
+
     # Operator sugar; everything funnels through forward_op.
     def __add__(self, other):
-        return forward_op("add", [self, _wrap(other)])
+        return forward_op("add", [self, _operand(other)])
 
     def __radd__(self, other):
-        return forward_op("add", [_wrap(other), self])
+        return forward_op("add", [_operand(other), self])
 
     def __sub__(self, other):
-        return forward_op("subtract", [self, _wrap(other)])
+        return forward_op("subtract", [self, _operand(other)])
 
     def __rsub__(self, other):
-        return forward_op("subtract", [_wrap(other), self])
+        return forward_op("subtract", [_operand(other), self])
 
     def __mul__(self, other):
-        return forward_op("elementwise-multiply", [self, _wrap(other)])
+        return forward_op("elementwise-multiply", [self, _operand(other)])
 
     def __rmul__(self, other):
-        return forward_op("elementwise-multiply", [_wrap(other), self])
+        return forward_op("elementwise-multiply", [_operand(other), self])
 
     def __matmul__(self, other):
-        return forward_op("matmul", [self, _wrap(other)])
+        return forward_op("matmul", [self, _operand(other)])
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _operand(x):
+    """`x` as an op input: Tensors and float64 arrays as they are, anything
+    else as a float64 array."""
+    if isinstance(x, Tensor) or (type(x) is np.ndarray and x.dtype == _F64):
+        return x
+    return np.asarray(x, dtype=_F64)
+
+
+def raw(x):
+    """The array of a Tensor, or `x` itself when it is already plain."""
+    return x.data if isinstance(x, Tensor) else x
 
 
 class Tape:
@@ -205,7 +221,7 @@ def _bw_concat_first(saved, g):
 
 
 def _fw_sum_all(a):
-    return np.sum(a), a.shape
+    return np.asarray(np.sum(a)), a.shape
 
 
 def _bw_sum_all(saved, g):
@@ -418,27 +434,37 @@ _OPS = {
 OP_KINDS = tuple(_OPS)
 
 
-def forward_op(kind: str, inputs, **kwargs) -> Tensor:
-    """Apply an operation and record it when any input is tape-attached.
+def forward_op(kind: str, inputs, **kwargs):
+    """Apply an operation; record it when any input is tape-attached.
 
+    With no Tensor among `inputs` the result is the kernel's plain array;
+    otherwise it is a Tensor, attached to the inputs' tape if they have one.
     Identical inputs always produce bit-identical outputs, on the tape or
     off it. Shape errors name the kind and the offending shapes.
     """
     ops = _OPS.get(kind)
     if ops is None:
         raise OpError(f"unknown operation kind: {kind!r}")
-    out_data, saved = ops[0](*[t.data for t in inputs], **kwargs)
-
+    arrays = []
+    wrapped = False
     tape = None
     for t in inputs:
-        if t.tape is not None:
-            if tape is not None and tape is not t.tape:
-                raise OpError(f"{kind}: inputs belong to different tapes")
-            tape = t.tape
+        if isinstance(t, Tensor):
+            wrapped = True
+            if t.tape is not None:
+                if tape is not None and tape is not t.tape:
+                    raise OpError(f"{kind}: inputs belong to different tapes")
+                tape = t.tape
+            t = t.data
+        arrays.append(t)
+    out_data, saved = ops[0](*arrays, **kwargs)
+    if not wrapped:
+        return out_data
     if tape is None:
         return Tensor(out_data)
     out = Tensor(out_data, tape=tape, tid=tape._new_id())
-    tape.nodes.append((kind, tuple(t.tid for t in inputs), out.tid, saved))
+    tids = tuple(t.tid if isinstance(t, Tensor) else None for t in inputs)
+    tape.nodes.append((kind, tids, out.tid, saved))
     return out
 
 
@@ -467,14 +493,15 @@ def backward(loss: Tensor):
 def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     """Max relative disagreement between analytic and central-difference grads.
 
-    ``f`` maps a Tensor to a scalar Tensor and must be evaluable in an
+    ``f`` maps a Tensor to a scalar (a Tensor, or a plain array when it
+    does not depend on its input) and must be evaluable in an
     eps-neighborhood of ``x``. Per coordinate the error is
     ``|analytic - numeric| / max(1, |analytic|, |numeric|)``.
     """
     tape = Tape()
     leaf = tape.leaf(x.data)
     out = f(leaf)
-    if out.tape is not None:
+    if isinstance(out, Tensor) and out.tape is not None:
         analytic = backward(out).get(leaf.tid)
         analytic = np.zeros(x.data.shape) if analytic is None else analytic.data
     else:
@@ -486,7 +513,7 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
         for sign in (1.0, -1.0):
             shifted = base.copy()
             shifted[i] += sign * eps
-            val = f(Tensor(shifted.reshape(x.data.shape))).data
+            val = raw(f(Tensor(shifted.reshape(x.data.shape))))
             numeric[i] += sign * float(val)
     numeric = (numeric / (2.0 * eps)).reshape(x.data.shape)
 

@@ -2,8 +2,9 @@
 
 Each function is the straightforward form that the package replaced with a
 cheaper or more general one: per-call neighbour lists, a team-aware plan
-rebuilt for every teammate, an any(...) scan for occupied targets, Chebyshev
-prey scores through a helper, and a single-environment agent-model step.
+rebuilt for every teammate, an any(...) scan for occupied targets, prey
+scores as a min over a generator of Chebyshev distances, and a
+single-environment agent-model step.
 Tests compare the package against them, either directly or by patching them
 all in and replaying whole sessions. Tests reach them through the
 ``reference_forms`` fixture.
@@ -109,20 +110,13 @@ def ref_resolve_moves(current, proposals, blocked, width, height):
     }
 
 
-def ref_chebyshev(a, b):
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 def ref_prey_act(state, prey_index, rng):
     pos = state.prey[prey_index]
     hunters = list(state.positions.values())
     scores = []
     for action in WOLF_ACTIONS:
-        target = move_target(pos, action, state.width, state.height)
-        if hunters:
-            scores.append(min(ref_chebyshev(target, h) for h in hunters))
-        else:
-            scores.append(0)
+        r, c = move_target(pos, action, state.width, state.height)
+        scores.append(min((max(abs(r - hr), abs(c - hc)) for hr, hc in hunters), default=0))
     best = max(scores)
     choices = [a for a, s in zip(WOLF_ACTIONS, scores) if s == best]
     return int(choices[int(rng.integers(0, len(choices)))])

@@ -365,6 +365,13 @@ class TestRunTraining:
         records = read_records(os.path.join(out, "metrics.jsonl"))
         assert [r.global_step for r in records] == [0, 12, 24]
 
+    def test_run_directory_names_blas_threads(self, tmp_path):
+        out = run_training(tiny_cfg(total_steps=0), tmp_path / "run")
+        with open(os.path.join(out, "blas.json"), encoding="utf-8") as fh:
+            blas = json.load(fh)
+        # The test session pins OpenBLAS to one thread (conftest.py).
+        assert blas == {"library": blas["library"], "threads": 1 if blas["library"] else None}
+
     def test_zero_steps_initial_checkpoint_only(self, tmp_path):
         cfg = tiny_cfg(total_steps=0)
         out = run_training(cfg, tmp_path / "run")

@@ -24,6 +24,7 @@ from openteam.learner.values import (
     UtilityTables,
     act,
     agent_model_loss,
+    greedy,
     joint_q,
     marginal_q,
     marginal_values,
@@ -507,6 +508,14 @@ class TestPoliciesAndTargets:
             counts[act(q, "QL", 0.0, rng)] += 1
         assert counts[2] == 0
         assert stats.chisquare(counts[:2]).pvalue > 0.01
+
+    def test_nan_action_values_are_named(self):
+        rng = np.random.default_rng(27)
+        qbar = np.array([1.0, np.nan, 0.5])
+        with pytest.raises(ValueError, match="action values are not finite"):
+            act(qbar, "QL", 0.0, rng)
+        with pytest.raises(ValueError, match="action values are not finite"):
+            greedy(qbar, rng)
 
 
 class TestGradientIsolation:

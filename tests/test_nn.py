@@ -63,6 +63,22 @@ class TestMlpForward:
         with pytest.raises(OpError):
             nn.mlp_forward(store, Tensor(np.ones((2, 5))))
 
+    def test_depths_alternating_under_one_prefix(self):
+        # The layer names are reused per prefix only while the depth matches.
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(2, 3))
+        for sizes in ([3, 4, 2], [3, 4, 5, 2], [3, 2], [3, 4, 2]):
+            store = nn.init_mlp(sizes, rng, prefix="p.")
+            out = x
+            for layer in range(len(sizes) - 1):
+                out = out @ store[f"p.w{layer}"].data + store[f"p.b{layer}"].data
+                if layer < len(sizes) - 2:
+                    out = np.maximum(out, 0.01 * out)
+            got = nn.mlp_forward(store.arrays, x, prefix="p.")
+            assert type(got) is np.ndarray and got.tobytes() == out.tobytes()
+        with pytest.raises(OpError, match="no layers"):
+            nn.mlp_forward(store.arrays, x, prefix="q.")
+
 
 class TestLstmStep:
     def test_zero_params_zero_cell(self):

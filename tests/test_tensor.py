@@ -121,6 +121,8 @@ class TestGradCheck:
     def test_constant_function(self):
         err = grad_check(lambda x: Tensor(5.0), Tensor([1.0, 2.0]))
         assert err <= 1e-9
+        err = grad_check(lambda x: T.sum_all(np.ones(2)), Tensor([1.0, 2.0]))
+        assert err <= 1e-9
 
 
 def _rand(rng, *shape):
@@ -186,11 +188,10 @@ def test_every_kind_matches_finite_differences(kind):
         for target in range(len(arrays)):
 
             def f(x):
-                inputs = [
-                    x if i == target else Tensor(arrays[i]) for i in range(len(arrays))
-                ]
+                # The other inputs and the mixer are plain-array constants.
+                inputs = [x if i == target else arrays[i] for i in range(len(arrays))]
                 out = forward_op(kind, inputs, **kwargs)
-                mixer = Tensor(np.arange(1, out.data.size + 1, dtype=float).reshape(out.data.shape) / out.data.size)
+                mixer = np.arange(1, out.data.size + 1, dtype=float).reshape(out.data.shape) / out.data.size
                 return T.sum_all(out * mixer)
 
             err = grad_check(f, Tensor(arrays[target]), eps=eps)
@@ -237,6 +238,52 @@ def test_tape_free_output_matches_taped_bit_for_bit(kind):
         assert free.data.dtype == np.float64 and free.data.shape == taped.data.shape
         assert free.data.tobytes() == taped.data.tobytes()
         assert not free.data.flags.writeable and not taped.data.flags.writeable
+        # Plain arrays in give the kernel's plain array out, same bytes.
+        plain = forward_op(kind, arrays, **kwargs)
+        assert type(plain) is np.ndarray and plain.dtype == np.float64
+        assert plain.shape == taped.data.shape
+        assert plain.tobytes() == taped.data.tobytes()
+
+
+MULTI_INPUT_KINDS = [
+    kind for kind in T.OP_KINDS if len(_kind_instance(kind, np.random.default_rng(0))[0]) > 1
+]
+
+
+@pytest.mark.parametrize("kind", MULTI_INPUT_KINDS)
+def test_plain_constant_on_tape_matches_tensor_constant(kind):
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        arrays, kwargs = _kind_instance(kind, rng)
+        mixer = rng.normal(size=forward_op(kind, arrays, **kwargs).shape)
+        runs = []
+        for wrap in (Tensor, lambda a: a):
+            tape = Tape()
+            x = tape.leaf(arrays[0])
+            out = forward_op(kind, [x] + [wrap(a) for a in arrays[1:]], **kwargs)
+            (node,) = tape.nodes
+            assert node[0] == kind and node[1] == (x.tid,) + (None,) * (len(arrays) - 1)
+            grad = backward(T.sum_all(out * mixer))[x.tid].data
+            runs.append((out.data.tobytes(), grad.tobytes()))
+        assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "op, kind",
+    [
+        (lambda a, x: a + x, "add"),
+        (lambda a, x: a - x, "subtract"),
+        (lambda a, x: a * x, "elementwise-multiply"),
+    ],
+)
+def test_array_on_the_left_of_a_tensor_records_a_node(op, kind):
+    tape = Tape()
+    x = tape.leaf(np.arange(1.0, 4.0))
+    a = np.ones(3)
+    out = op(a, x)
+    assert isinstance(out, Tensor) and out.tape is tape
+    assert tape.nodes[-1][:3] == (kind, (None, x.tid), out.tid)
+    assert out.data.tobytes() == op(a, x.data).tobytes()
 
 
 # The kernels below are bit-exact rewrites; these are the forms they replaced.

@@ -209,6 +209,78 @@ class TestSharedForward:
             policy.act(policy.slot.obs)
             assert np.max(np.abs(policy.last_qbar - qbar)) <= 1e-10
 
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
+    def test_acting_and_targets_build_no_tensor(self, algorithm, monkeypatch):
+        # Off the tape, values stay plain arrays: acting and the target
+        # pathway construct no Tensor at all.
+        cfg = tiny_cfg(algorithm)
+        trainer = Trainer(cfg)
+        counts = {"inside": 0, "built": 0, "calls": 0}
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            counts["built"] += counts["inside"]
+            init(self, *args, **kwargs)
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                counts["inside"], counts["calls"] = 1, counts["calls"] + 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    counts["inside"] = 0
+
+            return wrapper
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        monkeypatch.setattr(trainer, "_targets", counted(trainer._targets))
+        for _ in range(6):
+            trainer.run_iteration()
+        policy = GplPolicy(cfg, trainer.value_params, trainer.model_params, np.random.default_rng(0))
+        monkeypatch.setattr(policy, "act", counted(policy.act))
+        session = make_session(cfg.env, cfg.openness_eval, np.random.default_rng(1))
+        obs = session.reset()
+        policy.reset(obs)
+        sizes = set()
+        for _ in range(20):
+            sizes.add(len(obs.order))
+            res = session.step(policy.act(obs))
+            if res.done:
+                break
+            policy.observe(res)
+            obs = res.obs
+        assert counts["calls"] > 6 and max(sizes) > 1
+        assert counts["built"] == 0
+
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
+    def test_plain_arrays_give_the_bytes_of_bound_leaves(self, algorithm):
+        cfg = tiny_cfg(algorithm, parallel_envs=3)
+        trainer = Trainer(cfg)
+        for _ in range(40):
+            trainer.run_iteration()
+            if any(len(slot.obs.order) > 1 for slot in trainer.slots):
+                break
+        assert any(len(slot.obs.order) > 1 for slot in trainer.slots)
+        tape = Tape()
+        runs = []
+        for value, model in (
+            (trainer.value_params.bind(tape), trainer.model_params and trainer.model_params.bind(tape)),
+            (trainer.value_params.arrays, trainer.model_params and trainer.model_params.arrays),
+        ):
+            slots = copy.deepcopy(trainer.slots)
+            teams, probs = trainer_module.model_pass(model, slots, write=True)
+            qbars, _ = trainer.step.values(value, slots, teams, probs, "value")
+            states = [
+                (h.tobytes(), c.tobytes())
+                for slot in slots
+                for which in ("value", "model")
+                for h, c in slot.store.map(which).values()
+            ]
+            probs = None if probs is None else T.raw(probs).tobytes()
+            runs.append((probs, [q.tobytes() for q in qbars], states))
+        assert runs[0] == runs[1]
+        assert len(tape.nodes) > 0
+
 
 class TestBatchedAgentModel:
     def test_stacked_forward_matches_per_env_oracle(self, monkeypatch, reference_forms):
@@ -291,7 +363,7 @@ class TestBatchedAgentModel:
 
         # Target pathway: online parameters, no store touched, and the same
         # distributions as advancing a copy of each store one step ahead.
-        assert target_model is params
+        assert target_model is trainer.model_params.arrays
         for slot, store in zip(trainer.slots, before):
             assert list(slot.store.model) == list(store.model)
             for j, (h, c) in store.model.items():
@@ -303,7 +375,7 @@ class TestBatchedAgentModel:
             res, store = results[e], copy.deepcopy(oracle[e][0])
             want, mates = agent_model_step(params, res.obs, store, res.departures, res.arrivals)
             if mates:
-                assert np.max(np.abs(ahead_probs.data[lo:hi] - want.data)) <= 1e-12
+                assert np.max(np.abs(T.raw(ahead_probs)[lo:hi] - want.data)) <= 1e-12
 
 
 class TestStoresFollowTheRoster:
