@@ -1,10 +1,13 @@
 """Checkpointing: a one-line UTF-8 JSON manifest followed by the raw
-little-endian float64 parameter payload, concatenated in manifest order.
-Round-trips are bit-exact."""
+little-endian float64 payload: each store's parameter vector
+(`ParamStore.vector`), in manifest order. The manifest lists every store's
+parameter names and shapes in layout order, so it fixes where each
+parameter lies. Round-trips are bit-exact."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -28,19 +31,15 @@ def save_checkpoint(stores: dict, path, config_hash: str = "", global_step: int 
         "config_hash": config_hash,
         "global_step": int(global_step),
         "stores": {
-            name: [[pname, list(t.data.shape)] for pname, t in store.items()]
+            name: [[pname, list(shape)] for pname, shape in store.shapes().items()]
             for name, store in stores.items()
         },
     }
-    chunks = []
-    for store in stores.values():
-        for _, t in store.items():
-            chunks.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(json.dumps(manifest, separators=(",", ":")).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(b"".join(chunks))
+        fh.write(json.dumps(manifest, separators=(",", ":")).encode("utf-8") + b"\n")
+        for store in stores.values():
+            fh.write(store.vector.astype("<f8", copy=False))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -48,9 +47,9 @@ def save_checkpoint(stores: dict, path, config_hash: str = "", global_step: int 
 
 def load_checkpoint(path):
     """Returns (stores, manifest); rejects corrupt manifests and payloads
-    whose length does not match the manifest exactly. Each parameter is
-    read straight into an array of its own, so a load holds no second copy
-    of the payload."""
+    whose length does not match the manifest exactly. Each store's vector
+    is read straight into an array of its own, so a load holds no second
+    copy of the payload."""
     with open(path, "rb") as fh:
         header = fh.readline()
         size = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -61,23 +60,18 @@ def load_checkpoint(path):
         if manifest.get("format") != FORMAT:
             raise CheckpointError(f"unsupported checkpoint format {manifest.get('format')!r}")
 
-        expected = 0
-        for entries in manifest["stores"].values():
-            for _, shape in entries:
-                expected += int(np.prod(shape, dtype=np.int64)) * 8
-        if size != expected:
+        lengths = [sum(math.prod(s) for _, s in e) for e in manifest["stores"].values()]
+        if size != 8 * sum(lengths):
             raise CheckpointError(
-                f"payload length {size} does not match manifest ({expected} bytes)"
+                f"payload length {size} does not match manifest ({8 * sum(lengths)} bytes)"
             )
 
         stores = {}
-        for name, entries in manifest["stores"].items():
-            values = {}
-            for pname, shape in entries:
-                values[pname] = np.empty(shape, dtype="<f8")
-                if fh.readinto(values[pname]) != values[pname].nbytes:
-                    raise CheckpointError(f"payload of {path} ended early at {name}.{pname}")
-            stores[name] = ParamStore(values)
+        for (name, entries), length in zip(manifest["stores"].items(), lengths):
+            vector = np.empty(length, dtype="<f8")
+            if fh.readinto(vector) != vector.nbytes:
+                raise CheckpointError(f"payload of {path} ended early at store {name}")
+            stores[name] = ParamStore.from_vector(dict(entries), vector)
     return stores, manifest
 
 

@@ -139,7 +139,7 @@ def _block_checks(rng, instances):
         target = names[i % len(names)]
 
         def f_mlp(p, *, params=params, target=target, x=x):
-            patched = params.replace({target: p})
+            patched = {**params.arrays, target: p}
             out = nn.mlp_forward(patched, x, schedule=["tanh", "leaky-relu", None])
             return T.sum_all(out)
 
@@ -152,7 +152,7 @@ def _block_checks(rng, instances):
         target = lstm_names[i % len(lstm_names)]
 
         def f_lstm(p, *, lstm=lstm, target=target, xs=xs):
-            patched = lstm.replace({target: p})
+            patched = {**lstm.arrays, target: p}
             h = Tensor(np.zeros((2, 4)))
             c = Tensor(np.zeros((2, 4)))
             for x in xs:
@@ -168,7 +168,7 @@ def _block_checks(rng, instances):
         target = graph_names[i % len(graph_names)]
 
         def f_graph(p, *, graph=graph, target=target, nodes=nodes):
-            patched = graph.replace({target: p})
+            patched = {**graph.arrays, target: p}
             return T.sum_all(nn.graph_block_grouped(patched, nodes, [(0, 3)]))
 
         yield f"graph/{target}", grad_check(f_graph, graph[target])
@@ -196,7 +196,7 @@ def _loss_checks(rng, instances):
         target = vnames[i % len(vnames)]
 
         def f_value(p, *, params=value_params, target=target):
-            patched = params.replace({target: p})
+            patched = {**params.arrays, target: p}
             h, _ = embed_rows(patched, batch, h0, c0)
             sing, fac = utility_rows(patched, h, learner_rows)
             joint = joint_values(sing, fac, taken, segments, SMALL_NET.rank)
@@ -208,7 +208,7 @@ def _loss_checks(rng, instances):
         target = mnames[i % len(mnames)]
 
         def f_model(p, *, params=model_params, target=target):
-            patched = params.replace({target: p})
+            patched = {**params.arrays, target: p}
             h, _ = embed_rows(patched, batch, h0, c0)
             probs = model_rows(patched, h, [(lo, hi - lo) for lo, hi in segments])
             return agent_model_loss(probs, mates, [taken[r] for r in mates])

@@ -113,8 +113,7 @@ def init_baseline_net(input_len, action_count, net_cfg, rng) -> nn.ParamStore:
     head = nn.init_mlp(
         [net_cfg.embedding_dim, *net_cfg.utility_hidden, action_count], rng, prefix="head."
     )
-    for name, t in head.items():
-        values[name] = t
+    values.update(head.arrays)
     return nn.ParamStore(values)
 
 

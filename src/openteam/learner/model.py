@@ -131,12 +131,8 @@ def agent_model_forward(params, teams: Teams, state):
 
 
 def init_embedding(in_dim, width, rng, values, prefix="embed."):
-    fc = nn.init_mlp([in_dim, width, width], rng, prefix=f"{prefix}fc.")
-    lstm = nn.init_lstm(width, width, rng, prefix=f"{prefix}lstm.")
-    for name, t in fc.items():
-        values[name] = t
-    for name, t in lstm.items():
-        values[name] = t
+    values.update(nn.init_mlp([in_dim, width, width], rng, prefix=f"{prefix}fc.").arrays)
+    values.update(nn.init_lstm(width, width, rng, prefix=f"{prefix}lstm.").arrays)
 
 
 def init_value_net(in_dim, action_count, net_cfg, rng) -> nn.ParamStore:
@@ -144,14 +140,10 @@ def init_value_net(in_dim, action_count, net_cfg, rng) -> nn.ParamStore:
     values = {}
     init_embedding(in_dim, net_cfg.embedding_dim, rng, values)
     pair_in = 2 * net_cfg.embedding_dim
-    for name, t in nn.init_mlp(
-        [pair_in, *net_cfg.utility_hidden, action_count], rng, prefix="sing."
-    ).items():
-        values[name] = t
-    for name, t in nn.init_mlp(
-        [pair_in, *net_cfg.utility_hidden, net_cfg.rank * action_count], rng, prefix="fac."
-    ).items():
-        values[name] = t
+    for prefix, width in (("sing.", action_count), ("fac.", net_cfg.rank * action_count)):
+        values.update(
+            nn.init_mlp([pair_in, *net_cfg.utility_hidden, width], rng, prefix=prefix).arrays
+        )
     return nn.ParamStore(values)
 
 
@@ -162,11 +154,9 @@ def init_model_net(in_dim, action_count, net_cfg, rng) -> nn.ParamStore:
     graph = nn.init_graph_block(
         net_cfg.embedding_dim, net_cfg.edge_hidden, net_cfg.node_hidden, rng
     )
-    for name, t in graph.items():
-        values["graph." + name] = t
+    values.update({"graph." + name: a for name, a in graph.arrays.items()})
     dec = nn.init_mlp(
         [net_cfg.node_hidden[-1], *net_cfg.decoder_hidden, action_count], rng, prefix="dec."
     )
-    for name, t in dec.items():
-        values[name] = t
+    values.update(dec.arrays)
     return nn.ParamStore(values)

@@ -6,9 +6,11 @@ finished episodes, runs the agent model once per pathway over the stacked
 rosters of all environments (`model_pass`) and builds the TD targets. It
 turns the value of the actions taken, their targets and the teammate-action
 NLL into losses, accumulates their gradients over a configured number of
-iterations and applies them with Adam; the value-side target copy tracks
-the online parameters by Polyak averaging every iteration. It also keeps
-the episode returns and learning signals of the metric window.
+iterations (one vector per parameter store) and applies them with Adam,
+after checking that the losses and gradients are finite; the value-side
+target copy tracks the online parameters by Polyak averaging every
+iteration. It also keeps the episode returns and learning signals of the
+metric window.
 
 The algorithms differ only in their value side, a step object: `GplStep`
 for the coordination-graph learner (GPL-Q / GPL-SPI), `baseline.PaddedStep`
@@ -72,21 +74,6 @@ from .values import (
 # Supervised agent-model fit: peak Adam step size and targets per update.
 SUPERVISED_LR = 2e-3
 SUPERVISED_GROUP = 16
-
-
-@dataclass
-class TransitionRecord:
-    """One environment transition as observed by the learner."""
-
-    obs: object
-    roster_ids: list[int]
-    joint_action: dict[int, int]
-    learner_action: int
-    reward: float
-    next_obs: object
-    done: bool
-    departures: list[int]
-    arrivals: list[int]
 
 
 @dataclass
@@ -240,11 +227,12 @@ class Trainer:
             slot = _Slot(make_session(cfg.env, cfg.openness_train, np.random.default_rng(seed)))
             self.step.begin(slot, slot.session.reset())
             self.slots.append(slot)
-        self.target_params = self.value_params.replace({})
+        self.target_params = self.value_params
         self.opt_value = nn.AdamState(lr=cfg.lr)
         self.opt_model = nn.AdamState(lr=cfg.lr)
-        self.acc_value: dict[str, np.ndarray] = {}
-        self.acc_model: dict[str, np.ndarray] = {}
+        # Gradient sums in each store's layout; None until a loss reaches it.
+        self.acc_value = None
+        self.acc_model = None
         self.global_step = 0
         self.iteration = 0
         self.episode_returns = [0.0] * cfg.parallel_envs
@@ -347,23 +335,26 @@ class Trainer:
 
         scale = 1.0 / (len(results) * cfg.update_interval)
         v_loss = T.scalar_mul(value_loss(taken, targets), scale)
-        self._accumulate(self.acc_value, value, backward(v_loss))
+        self.acc_value = self.value_params.accumulate(self.acc_value, value, backward(v_loss))
+        losses = [v_loss]
         if nll is not None:
-            self._accumulate(self.acc_model, model, backward(T.scalar_mul(nll, scale)))
+            m_loss = T.scalar_mul(nll, scale)
+            self.acc_model = self.model_params.accumulate(self.acc_model, model, backward(m_loss))
+            losses.append(m_loss)
 
         self.iteration += 1
         self.global_step += len(results)
         if self.iteration % cfg.update_interval == 0:
-            if self.acc_value:
-                self.value_params, self.opt_value = nn.adam_step(
-                    self.value_params, self.acc_value, self.opt_value
-                )
-            if self.acc_model:
+            self._check_finite(losses)
+            self.value_params, self.opt_value = nn.adam_step(
+                self.value_params, self.acc_value, self.opt_value
+            )
+            if self.acc_model is not None:
                 self.model_params, self.opt_model = nn.adam_step(
                     self.model_params, self.acc_model, self.opt_model
                 )
-            self.acc_value = {}
-            self.acc_model = {}
+            self.acc_value = None
+            self.acc_model = None
         self.target_params = nn.polyak_update(
             self.target_params, self.value_params, cfg.polyak_alpha
         )
@@ -375,12 +366,20 @@ class Trainer:
                 self.episode_returns[e] = 0.0
                 self.step.begin(slot, slot.session.reset())
 
-    @staticmethod
-    def _accumulate(acc, bound, grads):
-        for name, leaf in bound.items():
-            g = grads.get(leaf.tid)
-            if g is not None:
-                acc[name] = acc[name] + g.data if name in acc else g.data
+    def _check_finite(self, losses):
+        """Raise ValueError on a NaN or infinity in this iteration's losses or
+        in a store's accumulated gradient, naming the global step and, for a
+        gradient, the store and its first such parameter."""
+        step = self.global_step
+        if not np.isfinite([float(loss.data) for loss in losses]).all():
+            raise ValueError(f"non-finite loss at global step {step}")
+        for name, acc in (("value", self.acc_value), ("agent_model", self.acc_model)):
+            finite = np.isfinite(acc if acc is not None else ())
+            if not finite.all():
+                bad = self.stores()[name].name_at(int(np.argmin(finite)))
+                raise ValueError(
+                    f"non-finite gradient at global step {step}: store {name!r}, parameter {bad!r}"
+                )
 
 
 def train(cfg: RunConfig, on_record=None) -> TrainResult:
@@ -446,7 +445,10 @@ class GplPolicy:
 
 
 def collect_transitions(cfg: RunConfig, steps: int, seed: int) -> list:
-    """Roll out a uniform-random learner; returns a list of episodes."""
+    """Roll out a uniform-random learner; returns a list of episodes, each a
+    list of (observation, `StepResult` of the step taken from it). The
+    session builds every observation and result afresh, so they are kept as
+    they are."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     session = make_session(cfg.env, cfg.openness_train, rng)
     episodes = []
@@ -455,19 +457,7 @@ def collect_transitions(cfg: RunConfig, steps: int, seed: int) -> list:
     for _ in range(steps):
         action = int(rng.integers(0, session.action_count))
         res = session.step(action)
-        current.append(
-            TransitionRecord(
-                obs,
-                list(obs.order),
-                dict(res.joint_action),
-                action,
-                res.reward,
-                res.obs,
-                res.done,
-                list(res.departures),
-                list(res.arrivals),
-            )
-        )
+        current.append((obs, res))
         obs = res.obs
         if res.done:
             episodes.append(current)
@@ -483,19 +473,19 @@ def heldout_nll(model_params, cfg: RunConfig, episodes) -> float:
     stepped through the trainer's online agent-model pass (`model_pass`)."""
     total, count = 0.0, 0
     for episode in episodes:
-        obs = episode[0].obs
-        slot = _Slot(None, obs, EmbeddingStore(cfg.net.embedding_dim, ("model",)))
-        preprocess(obs, slot.store, [], obs.order)
-        for rec in episode:
+        first = episode[0][0]
+        slot = _Slot(None, first, EmbeddingStore(cfg.net.embedding_dim, ("model",)))
+        preprocess(first, slot.store, [], first.order)
+        for obs, res in episode:
             teams, probs = model_pass(model_params.arrays, [slot], write=True)
             if teams.mates:
-                actions = [rec.joint_action[rec.roster_ids[r]] for r in teams.mates]
+                actions = [res.joint_action[obs.order[r]] for r in teams.mates]
                 total += float(agent_model_loss(probs, teams.mates, actions))
                 count += len(teams.mates)
-            if rec.done:
+            if res.done:
                 break
-            slot.obs = rec.next_obs
-            preprocess(slot.obs, slot.store, rec.departures, rec.arrivals)
+            slot.obs = res.obs
+            preprocess(slot.obs, slot.store, res.departures, res.arrivals)
     return total / max(count, 1)
 
 
@@ -508,11 +498,11 @@ def supervised_steps(episodes) -> list:
     steps = []
     for episode in episodes:
         per_step = []
-        for rec in episode:
-            ids = list(rec.roster_ids)
-            rows = [r for r, j in enumerate(ids) if j != rec.obs.learner_id]
-            actions = [rec.joint_action[ids[r]] for r in rows]
-            per_step.append((rec.obs.batch_rows(), ids, rows, actions))
+        for obs, res in episode:
+            ids = obs.order
+            rows = [r for r, j in enumerate(ids) if j != obs.learner_id]
+            actions = [res.joint_action[ids[r]] for r in rows]
+            per_step.append((obs.batch_rows(), ids, rows, actions))
         steps.append(per_step)
     return steps
 
@@ -599,9 +589,8 @@ def train_agent_model_supervised(
             batch = [targets[i] for i in order[lo : lo + SUPERVISED_GROUP]]
             bound = params.bind(Tape())
             grads = backward(window_loss(bound, steps, batch, window, cfg.net.embedding_dim))
-            named = {name: grads[leaf.tid].data for name, leaf in bound.items() if leaf.tid in grads}
             ramp = min(1.0, (update + 1) / warmup)
             opt.lr = SUPERVISED_LR * ramp * 0.5 * (1.0 + np.cos(np.pi * update / total))
-            params, opt = nn.adam_step(params, named, opt)
+            params, opt = nn.adam_step(params, params.accumulate(None, bound, grads), opt)
             update += 1
     return params

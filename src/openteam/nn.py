@@ -1,8 +1,11 @@
 """Parameterized blocks: MLPs, an LSTM cell, a message-passing graph block.
 
-Parameters live in a :class:`ParamStore` (name -> Tensor). Updates are
-functional: :func:`adam_step` and :func:`polyak_update` return new stores, so
-readers holding the old store never observe a half-applied update.
+Parameters live in a :class:`ParamStore`: one read-only float64 vector and
+the layout that maps each name to its (offset, shape) in it. Stores are
+flat and functional: :func:`adam_step` and :func:`polyak_update` compute a
+whole store in one vector expression and return a new store over a new
+vector, so readers holding the old store never observe a half-applied
+update.
 
 The blocks take their parameters as any name -> value map: a store, the
 leaves of `ParamStore.bind` (the tape records the pass) or the plain arrays
@@ -11,7 +14,8 @@ of `ParamStore.arrays` (no tape, and plain arrays out).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,71 +24,101 @@ from .tensor import OpError, Tensor
 
 
 class ParamStore:
-    """Named, ordered map of parameter tensors with fixed shapes.
+    """Named parameters with fixed shapes, laid end to end in one read-only
+    float64 vector (`vector`), in insertion order.
 
-    `arrays` maps the same names to the read-only arrays themselves, for
-    passes off the tape; a store never changes, so it builds that map once,
-    on first use.
+    The store alone decides the layout (`layout`: name -> (offset, shape) in
+    the vector). Every parameter is a read-only view of the vector: a
+    `Tensor` through `store[name]` and `items()`, a plain array through
+    `arrays` (for passes off the tape, built once, on first use).
     """
 
     def __init__(self, values):
-        self._values = {}
-        self._arrays = None
-        for name, value in values.items():
-            if name in self._values:
-                raise ValueError(f"duplicate parameter name: {name}")
-            self._values[name] = value if isinstance(value, Tensor) else Tensor(value)
+        arrays = {name: np.asarray(T.raw(v), dtype=np.float64) for name, v in values.items()}
+        vector = np.concatenate([a.ravel() for a in arrays.values()] or [np.zeros(0)])
+        self._adopt(_layout_of({name: a.shape for name, a in arrays.items()}), vector)
 
-    def __getitem__(self, name) -> Tensor:
-        return self._values[name]
+    @classmethod
+    def from_vector(cls, shapes, vector) -> "ParamStore":
+        """The store over `vector` holding `shapes` (name -> shape, in order)."""
+        store = cls.__new__(cls)
+        store._adopt(_layout_of(shapes), vector)
+        return store
 
-    def __contains__(self, name) -> bool:
-        return name in self._values
+    def with_vector(self, vector) -> "ParamStore":
+        """A store with this layout over `vector`."""
+        store = ParamStore.__new__(ParamStore)
+        store._adopt((self.layout, self.vector.size), vector)
+        return store
 
-    def __len__(self) -> int:
-        return len(self._values)
+    def _adopt(self, layout, vector):
+        (self.layout, size), self.vector, self._arrays = layout, vector, None
+        if vector.dtype != np.float64 or vector.shape != (size,):
+            raise OpError(f"{vector.dtype} vector {vector.shape} does not fit {size} parameters")
+        vector.setflags(write=False)
 
-    def names(self):
-        return list(self._values)
+    def views(self, vector) -> dict:
+        """Name -> that parameter's view of `vector` (laid out as this store)."""
+        return {
+            name: vector[offset : offset + math.prod(shape)].reshape(shape)
+            for name, (offset, shape) in self.layout.items()
+        }
 
     @property
     def arrays(self) -> dict:
         if self._arrays is None:
-            self._arrays = {name: t.data for name, t in self._values.items()}
+            self._arrays = self.views(self.vector)
         return self._arrays
 
+    def __getitem__(self, name) -> Tensor:
+        return Tensor(self.arrays[name])
+
     def items(self):
-        return self._values.items()
+        return [(name, Tensor(a)) for name, a in self.arrays.items()]
+
+    def __contains__(self, name) -> bool:
+        return name in self.layout
+
+    def names(self):
+        return list(self.layout)
 
     def shapes(self):
-        return {name: t.data.shape for name, t in self._values.items()}
+        return {name: shape for name, (_, shape) in self.layout.items()}
+
+    def name_at(self, index: int) -> str:
+        """The parameter that holds entry `index` of the vector."""
+        for name, (offset, shape) in self.layout.items():
+            if offset <= index < offset + math.prod(shape):
+                return name
+        raise IndexError(f"entry {index} is outside a store of {self.vector.size}")
 
     def bind(self, tape):
         """Leaf tensors on `tape` sharing this store's values, keyed by name."""
-        return {name: tape.leaf(t.data) for name, t in self._values.items()}
+        return {name: tape.leaf(a) for name, a in self.arrays.items()}
 
-    def replace(self, updates) -> "ParamStore":
-        """A new store with some values replaced; shapes must be preserved."""
-        merged = {}
-        for name, t in self._values.items():
-            if name in updates:
-                new = updates[name]
-                new = new if isinstance(new, Tensor) else Tensor(new)
-                if new.data.shape != t.data.shape:
-                    raise OpError(
-                        f"replace: shape mismatch for {name}: "
-                        f"{new.data.shape} vs {t.data.shape}"
-                    )
-                merged[name] = new
-            else:
-                merged[name] = t
-        return ParamStore(merged)
+    def accumulate(self, acc, leaves, grads):
+        """`acc` (a vector in this layout, updated in place) plus the
+        gradients of `leaves` (this store's `bind`) found in `grads` (tape id
+        -> array, as `tensor.backward` returns them); with `acc` None, a new
+        vector of those gradients, zero where none reached."""
+        fresh = acc is None
+        acc = np.zeros(self.vector.size) if fresh else acc
+        for leaf, view in zip(leaves.values(), self.views(acc).values()):
+            g = grads.get(leaf.tid)
+            if g is not None and fresh:
+                view[...] = g
+            elif g is not None:
+                view += g
+        return acc
 
-    def merged_with(self, other: "ParamStore", prefix: str = "") -> "ParamStore":
-        values = dict(self._values)
-        for name, t in other.items():
-            values[prefix + name] = t
-        return ParamStore(values)
+
+def _layout_of(shapes):
+    """(name -> (offset, shape) laid end to end, total length)."""
+    layout, size = {}, 0
+    for name, shape in shapes.items():
+        layout[name] = (size, tuple(shape))
+        size += math.prod(shape)
+    return layout, size
 
 
 def _uniform_fan_in(rng, fan_in, shape):
@@ -122,7 +156,7 @@ def init_graph_block(node_dim, edge_sizes, node_sizes, rng) -> ParamStore:
     """Edge and node MLPs of a fully connected message-passing block."""
     edge = init_mlp([2 * node_dim, *edge_sizes], rng, prefix="edge.")
     node = init_mlp([node_dim + edge_sizes[-1], *node_sizes], rng, prefix="node.")
-    return edge.merged_with(node)
+    return ParamStore({**edge.arrays, **node.arrays})
 
 
 _ACTIVATIONS = {
@@ -260,55 +294,42 @@ def graph_block_grouped(params, nodes, groups, prefix=""):
 
 @dataclass
 class AdamState:
-    """Per-parameter moment estimates plus shared step counter."""
+    """Moments as two vectors in the store's layout (None before the first
+    step) plus the step counter."""
 
     lr: float = 2.5e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray = None
+    v: np.ndarray = None
 
 
-def adam_step(params: ParamStore, grads, state: AdamState):
-    """One Adam update with bias correction; untouched parameters unchanged."""
-    new_state = AdamState(
-        lr=state.lr,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        eps=state.eps,
-        step=state.step + 1,
-        m=dict(state.m),
-        v=dict(state.v),
-    )
-    t = new_state.step
-    updates = {}
-    for name, grad in grads.items():
-        g = grad.data if isinstance(grad, Tensor) else np.asarray(grad, dtype=np.float64)
-        p = params[name].data
-        if g.shape != p.shape:
-            raise OpError(f"adam_step: gradient shape {g.shape} != {p.shape} for {name}")
-        m = new_state.m.get(name)
-        v = new_state.v.get(name)
-        m = (1 - state.beta1) * g if m is None else state.beta1 * m + (1 - state.beta1) * g
-        v = (1 - state.beta2) * g * g if v is None else state.beta2 * v + (1 - state.beta2) * g * g
-        new_state.m[name] = m
-        new_state.v[name] = v
-        m_hat = m / (1 - state.beta1**t)
-        v_hat = v / (1 - state.beta2**t)
-        updates[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params.replace(updates), new_state
+def adam_step(params: ParamStore, grad, state: AdamState):
+    """One Adam update with bias correction of the whole store `params`.
+
+    `grad` is one vector in the store's layout (`ParamStore.accumulate`).
+    Every parameter takes part in every step: one that no loss reached has
+    a zero gradient there, so its moments decay and it still moves while
+    its first moment is non-zero (at the first step it stays put).
+    """
+    if grad.shape != params.vector.shape:
+        raise OpError(f"adam_step: gradient shape {grad.shape} != {params.vector.shape}")
+    b1, b2 = state.beta1, state.beta2
+    if state.m is None:
+        m, v = (1 - b1) * grad, (1 - b2) * grad * grad
+    else:
+        m, v = b1 * state.m + (1 - b1) * grad, b2 * state.v + (1 - b2) * grad * grad
+    t = state.step + 1
+    # The bias-corrected moments stay unnamed so numpy reuses their buffers;
+    # named, they kept two more store-sized vectors alive at the peak.
+    step = state.lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + state.eps)
+    return params.with_vector(params.vector - step), replace(state, step=t, m=m, v=v)
 
 
 def polyak_update(target: ParamStore, online: ParamStore, alpha: float) -> ParamStore:
     """target' = (1 - alpha) * target + alpha * online, entry by entry."""
-    if target.names() != online.names():
-        raise OpError("polyak_update: parameter name sets differ")
-    updates = {}
-    for name, t in target.items():
-        o = online[name].data
-        if o.shape != t.data.shape:
-            raise OpError(f"polyak_update: shape mismatch for {name}")
-        updates[name] = (1.0 - alpha) * t.data + alpha * o
-    return target.replace(updates)
+    if target.layout != online.layout:
+        raise OpError("polyak_update: parameter layouts differ")
+    return target.with_vector((1.0 - alpha) * target.vector + alpha * online.vector)

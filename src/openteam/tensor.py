@@ -471,7 +471,9 @@ def forward_op(kind: str, inputs, **kwargs):
 def backward(loss: Tensor):
     """Gradients of a scalar tape-attached loss for every attached tensor.
 
-    Returns a map from tensor id to a gradient Tensor of the same shape.
+    Returns a map from tensor id to a plain gradient array of that tensor's
+    shape. The arrays may be shared with each other or be read-only
+    broadcasts: read them, do not write into them.
     """
     if loss.tape is None:
         raise OpError("backward: loss is not attached to a tape")
@@ -487,7 +489,7 @@ def backward(loss: Tensor):
                 continue
             acc = grads.get(tid)
             grads[tid] = gi if acc is None else acc + gi
-    return {tid: Tensor(g) for tid, g in grads.items()}
+    return grads
 
 
 def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
@@ -503,7 +505,7 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     out = f(leaf)
     if isinstance(out, Tensor) and out.tape is not None:
         analytic = backward(out).get(leaf.tid)
-        analytic = np.zeros(x.data.shape) if analytic is None else analytic.data
+        analytic = np.zeros(x.data.shape) if analytic is None else analytic
     else:
         analytic = np.zeros(x.data.shape)
 

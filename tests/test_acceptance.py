@@ -7,6 +7,7 @@ dominates the runtime; deselect it with `-m "not slow"` while iterating.
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from openteam.envs.foraging import FoodItem, LbfState, lbf_step
 from openteam.envs.session import make_session
 from openteam.envs.wolfpack import WolfState, wolf_step
 from openteam.harness.analyze import action_mean, deviation
+from openteam.harness.cli import blas_threads, pin_blas_threads
 from openteam.harness.run import evaluate, random_policy_record, run_training
 from openteam.harness.suites import (
     enumerate_marginal,
@@ -265,7 +267,7 @@ def test_07_agent_model_learning():
     split = max(1, int(len(episodes) * 0.85))
     train_eps, held = episodes[:split], episodes[split:]
 
-    probe = episodes[0][0].obs
+    probe = episodes[0][0][0]
     in_dim = len(probe.x[probe.learner_id]) + len(probe.u)
     untrained = init_model_net(in_dim, 5, cfg.net, np.random.default_rng(np.random.SeedSequence(11)))
     base = heldout_nll(untrained, cfg, held)
@@ -317,18 +319,27 @@ def greedy_eval_returns(cfg, stores, episodes=100, seed=1234):
     return mean, ci
 
 
+def smoke_run(seed):
+    """Train and greedily evaluate one smoke seed in a worker process, on one
+    BLAS thread as in the parent; returns (BLAS threads, mean, ci, minutes)."""
+    pin_blas_threads()
+    start = time.time()
+    cfg = smoke_config(seed)
+    mean, ci = greedy_eval_returns(cfg, train(cfg).stores)
+    return blas_threads()["threads"], mean, ci, (time.time() - start) / 60
+
+
 @pytest.mark.slow
 def test_08_end_to_end_smoke():
     random_record = random_policy_record(smoke_config(0), episodes=100, seed=555)
     random_hi = random_record.mean_return + random_record.ci95
     lines = []
     passed = True
-    for seed in (1, 2, 3):
-        start = time.time()
-        cfg = smoke_config(seed)
-        result = train(cfg)
-        mean, ci = greedy_eval_returns(cfg, result.stores)
-        minutes = (time.time() - start) / 60
+    # The three trainings are independent: two worker processes run them.
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(smoke_run, (1, 2, 3)))
+    for seed, (threads, mean, ci, minutes) in zip((1, 2, 3), runs):
+        assert threads in (1, None), f"seed {seed} trained on {threads} BLAS threads"
         separated = mean - ci > random_hi
         passed = passed and separated and minutes < 30.0
         lines.append(

@@ -35,6 +35,7 @@ from openteam.harness.run import (
     random_policy_record,
     run_training,
 )
+from openteam.learner.trainer import Trainer
 from openteam.openness import OpennessConfig
 
 SMALL_NET = NetConfig(
@@ -275,6 +276,42 @@ class TestCheckpoint:
         for name, store in stores.items():
             for pname in store.names():
                 assert store[pname].data.tobytes() == loaded[name][pname].data.tobytes()
+
+    def test_payload_is_the_store_vectors_in_manifest_order(self, tmp_path):
+        rng = np.random.default_rng(1)
+        stores = {
+            "value": nn.ParamStore({"w": rng.normal(size=(7, 3)), "b": rng.normal(size=3)}),
+            "agent_model": nn.ParamStore({"w": rng.normal(size=(2, 2)), "s": rng.normal(size=())}),
+        }
+        path = tmp_path / "x.otck"
+        save_checkpoint(stores, path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        manifest = json.loads(header)
+        assert manifest["stores"] == {
+            "value": [["w", [7, 3]], ["b", [3]]],
+            "agent_model": [["w", [2, 2]], ["s", []]],
+        }
+        vectors = [store.vector.astype("<f8").tobytes() for store in stores.values()]
+        assert payload == b"".join(vectors)
+
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "QL-AM"])
+    def test_saved_stores_do_not_change_while_training_goes_on(self, tmp_path, algorithm):
+        # Updates build new stores: the stores a checkpoint was written from
+        # still hold the checkpoint's bytes after more Adam and Polyak steps.
+        trainer = Trainer(tiny_cfg(algorithm))
+        for _ in range(3):
+            trainer.run_iteration()
+        stores = trainer.stores()
+        path = tmp_path / "x.otck"
+        save_checkpoint(stores, path)
+        for _ in range(8):
+            trainer.run_iteration()
+        assert trainer.opt_value.step == 2
+        assert trainer.value_params.vector.tobytes() != stores["value"].vector.tobytes()
+        loaded, _ = load_checkpoint(path)
+        for name, store in stores.items():
+            for pname, t in store.items():
+                assert loaded[name][pname].data.tobytes() == t.data.tobytes()
 
     def test_truncated_payload_rejected(self, tmp_path):
         stores = {"value": nn.ParamStore({"w": np.ones((4, 4))})}

@@ -199,12 +199,11 @@ class TestComputeUtilities:
     def test_zero_factor_head_means_zero_pairwise(self):
         rng = np.random.default_rng(4)
         params = init_value_net(6, 4, NET, rng)
-        zeroed = params.replace(
-            {
-                "fac.w2": np.zeros(params["fac.w2"].data.shape),
-                "fac.b2": np.zeros(params["fac.b2"].data.shape),
-            }
-        )
+        zeroed = {
+            **params.arrays,
+            "fac.w2": np.zeros(params["fac.w2"].data.shape),
+            "fac.b2": np.zeros(params["fac.b2"].data.shape),
+        }
         h = Tensor(rng.normal(size=(3, NET.embedding_dim)))
         tables = team_tables(zeroed, h)
         assert np.all(tables.pairwise(0, 1).data == 0)
@@ -274,12 +273,11 @@ class TestTeammateProbs:
     def test_zero_decoder_uniform(self):
         rng = np.random.default_rng(10)
         params = init_model_net(6, 4, NET, rng)
-        zeroed = params.replace(
-            {
-                "dec.w1": np.zeros(params["dec.w1"].data.shape),
-                "dec.b1": np.zeros(params["dec.b1"].data.shape),
-            }
-        )
+        zeroed = {
+            **params.arrays,
+            "dec.w1": np.zeros(params["dec.w1"].data.shape),
+            "dec.b1": np.zeros(params["dec.b1"].data.shape),
+        }
         h = Tensor(rng.normal(size=(3, NET.embedding_dim)))
         probs = model_rows(zeroed, h, [(0, 3)])
         assert np.allclose(probs.data[1:], 0.25, atol=1e-12)

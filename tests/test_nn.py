@@ -54,7 +54,7 @@ class TestMlpForward:
         x = Tensor(rng.normal(size=(2, 3)))
         for name in store.names():
             def f(p, name=name):
-                out = nn.mlp_forward(store.replace({name: p}), x)
+                out = nn.mlp_forward({**store.arrays, name: p}, x)
                 return T.sum_all(out)
             assert grad_check(f, store[name]) <= 1e-4
 
@@ -98,7 +98,7 @@ class TestLstmStep:
         xs = [Tensor(rng.normal(size=(2, 3))) for _ in range(3)]
         for name in store.names():
             def f(p, name=name):
-                patched = store.replace({name: p})
+                patched = {**store.arrays, name: p}
                 h = Tensor(np.zeros((2, 4)))
                 c = Tensor(np.zeros((2, 4)))
                 for x in xs:
@@ -138,7 +138,7 @@ class TestLstmStep:
                 outs += [h.data.tobytes(), c.data.tobytes()]
             grads = T.backward(T.sum_all(h * Tensor(wh)) + T.sum_all(c * Tensor(wc)))
             tids = [t.tid for t in (*params.values(), *leaves)]
-            return outs, [grads[tid].data.tobytes() for tid in tids]
+            return outs, [grads[tid].tobytes() for tid in tids]
 
         assert run(nn.lstm_step) == run(self.per_gate_step)
 
@@ -250,8 +250,53 @@ class TestGraphBlock:
         nodes = Tensor(rng.normal(size=(3, 3)))
         for name in store.names():
             def f(p, name=name):
-                return T.sum_all(nn.graph_block_grouped(store.replace({name: p}), nodes, [(0, 3)]))
+                return T.sum_all(nn.graph_block_grouped({**store.arrays, name: p}, nodes, [(0, 3)]))
             assert grad_check(f, store[name]) <= 1e-4
+
+
+def flat(store, grads):
+    """`grads` (name -> array, zeros where absent) as one vector in the
+    order the store lists its names."""
+    return np.concatenate(
+        [np.ravel(grads.get(name, np.zeros(shape))) for name, shape in store.shapes().items()]
+    )
+
+
+class TestParamStore:
+    def test_parameters_are_views_of_one_read_only_vector(self):
+        rng = np.random.default_rng(30)
+        values = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2), "s": rng.normal(size=())}
+        store = nn.ParamStore(values)
+        assert store.vector.tobytes() == flat(store, values).tobytes()
+        assert not store.vector.flags.writeable
+        for name, value in values.items():
+            for view in (store.arrays[name], store[name].data):
+                assert np.shares_memory(view, store.vector) and view.tobytes() == value.tobytes()
+        assert [name for name, _ in store.items()] == ["w", "b", "s"]
+        assert [store.name_at(i) for i in (0, 5, 6, 7, 8)] == ["w", "w", "b", "b", "s"]
+        with pytest.raises(IndexError):
+            store.name_at(9)
+
+    def test_vector_must_fit_the_layout(self):
+        store = nn.ParamStore({"w": np.zeros((2, 2))})
+        with pytest.raises(OpError):
+            store.with_vector(np.zeros(5))
+        with pytest.raises(OpError):
+            nn.ParamStore.from_vector({"w": (2, 2)}, np.zeros(3))
+
+    def test_accumulate_adds_gradients_in_layout_order(self):
+        rng = np.random.default_rng(35)
+        store = nn.init_mlp([3, 4, 2], rng)
+        tape = T.Tape()
+        leaves = store.bind(tape)
+        out = nn.mlp_forward({**leaves, "b1": store.arrays["b1"]}, rng.normal(size=(2, 3)))
+        grads = T.backward(T.sum_all(out * out))
+        named = {name: grads[leaf.tid] for name, leaf in leaves.items() if leaf.tid in grads}
+        assert set(named) == {"w0", "b0", "w1"}
+        acc = store.accumulate(None, leaves, grads)
+        assert acc.tobytes() == flat(store, named).tobytes()
+        assert store.accumulate(acc, leaves, grads) is acc
+        assert acc.tobytes() == flat(store, {n: g + g for n, g in named.items()}).tobytes()
 
 
 class TestAdam:
@@ -259,44 +304,46 @@ class TestAdam:
         rng = np.random.default_rng(31)
         store = nn.init_mlp([3, 2], rng)
         state = nn.AdamState(lr=0.01)
-        updated, state = nn.adam_step(store, {"w0": np.zeros((3, 2))}, state)
-        assert np.array_equal(updated["w0"].data, store["w0"].data)
+        updated, state = nn.adam_step(store, flat(store, {}), state)
+        assert updated.vector.tobytes() == store.vector.tobytes()
         assert state.step == 1
 
     def test_first_step_magnitude_near_lr(self):
         # With constant gradient g: m_hat = g, v_hat = g^2, so the update is
         # lr * g / (|g| + eps), a bias-corrected sign step.
         store = nn.ParamStore({"w": np.array([1.0, -1.0, 2.0])})
-        grads = {"w": np.array([0.3, -0.7, 2.0])}
-        updated, _ = nn.adam_step(store, grads, nn.AdamState(lr=0.01))
+        grad = np.array([0.3, -0.7, 2.0])
+        updated, _ = nn.adam_step(store, grad, nn.AdamState(lr=0.01))
         delta = updated["w"].data - store["w"].data
         assert np.allclose(np.abs(delta), 0.01, atol=1e-6)
-        assert np.all(np.sign(delta) == -np.sign(grads["w"]))
+        assert np.all(np.sign(delta) == -np.sign(grad))
 
     def test_two_steps_match_reference_replay(self):
+        # The per-name form the flat update replaced, as a bit-exact reference.
         rng = np.random.default_rng(32)
-        store = nn.ParamStore({"w": rng.normal(size=(2, 2))})
-        g1, g2 = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+        store = nn.ParamStore({"w": rng.normal(size=(2, 3)), "b": rng.normal(size=3)})
+        shapes = store.shapes()
+        steps = [{name: rng.normal(size=shape) for name, shape in shapes.items()} for _ in range(2)]
         state = nn.AdamState(lr=0.05)
-        p1, state = nn.adam_step(store, {"w": g1}, state)
-        p2, state = nn.adam_step(p1, {"w": g2}, state)
-
-        # independent replay
-        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-        w = store["w"].data.copy()
-        m = np.zeros_like(w)
-        v = np.zeros_like(w)
-        for t, g in enumerate((g1, g2), start=1):
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            w = w - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        assert np.allclose(p2["w"].data, w, atol=1e-15)
+        updated = store
+        for grads in steps:
+            updated, state = nn.adam_step(updated, flat(store, grads), state)
         assert state.step == 2
+
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+        for name in store.names():
+            w, m, v = store[name].data, None, None
+            for t, grads in enumerate(steps, start=1):
+                g = grads[name]
+                m = (1 - b1) * g if m is None else b1 * m + (1 - b1) * g
+                v = (1 - b2) * g * g if v is None else b2 * v + (1 - b2) * g * g
+                w = w - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+            assert updated[name].data.tobytes() == w.tobytes()
 
     def test_untouched_params_unchanged(self):
         rng = np.random.default_rng(33)
         store = nn.init_mlp([2, 2, 2], rng)
-        updated, _ = nn.adam_step(store, {"w0": np.ones((2, 2))}, nn.AdamState())
+        updated, _ = nn.adam_step(store, flat(store, {"w0": np.ones((2, 2))}), nn.AdamState())
         assert np.array_equal(updated["w1"].data, store["w1"].data)
 
     def test_no_nan_from_finite_grads(self):
@@ -304,13 +351,14 @@ class TestAdam:
         store = nn.ParamStore({"w": rng.normal(size=5)})
         state = nn.AdamState(lr=0.1)
         for scale in (1e-30, 1.0, 1e20):
-            store, state = nn.adam_step(store, {"w": rng.normal(size=5) * scale}, state)
+            store, state = nn.adam_step(store, rng.normal(size=5) * scale, state)
             assert np.all(np.isfinite(store["w"].data))
 
     def test_shape_mismatch_rejected(self):
         store = nn.ParamStore({"w": np.zeros(3)})
-        with pytest.raises(OpError):
-            nn.adam_step(store, {"w": np.zeros(4)}, nn.AdamState())
+        for grad in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(OpError, match="gradient shape"):
+                nn.adam_step(store, grad, nn.AdamState())
 
 
 class TestPolyak:
@@ -332,6 +380,7 @@ class TestPolyak:
 
     def test_mismatched_stores_rejected(self):
         t = nn.ParamStore({"w": np.zeros(3)})
-        o = nn.ParamStore({"v": np.zeros(3)})
-        with pytest.raises(OpError):
-            nn.polyak_update(t, o, 0.5)
+        others = ({"v": np.zeros(3)}, {"w": np.zeros((3, 1))}, {"w": np.zeros(2), "b": np.zeros(1)})
+        for online in others:
+            with pytest.raises(OpError, match="layouts differ"):
+                nn.polyak_update(t, nn.ParamStore(online), 0.5)

@@ -81,15 +81,15 @@ class TestBackward:
         tape = Tape()
         x = leaf(tape, [1.0, 2.0, 3.0])
         grads = backward(T.sum_all(x))
-        assert np.array_equal(grads[x.tid].data, [1.0, 1.0, 1.0])
+        assert np.array_equal(grads[x.tid], [1.0, 1.0, 1.0])
 
     def test_matmul_gradient_analytic(self):
         tape = Tape()
         a = leaf(tape, np.ones((2, 2)))
         b = leaf(tape, np.ones((2, 2)))
         grads = backward(T.sum_all(a @ b))
-        assert np.array_equal(grads[a.tid].data, [[2.0, 2.0], [2.0, 2.0]])
-        assert np.array_equal(grads[b.tid].data, [[2.0, 2.0], [2.0, 2.0]])
+        assert np.array_equal(grads[a.tid], [[2.0, 2.0], [2.0, 2.0]])
+        assert np.array_equal(grads[b.tid], [[2.0, 2.0], [2.0, 2.0]])
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
@@ -210,7 +210,7 @@ def test_tape_topological_order_and_single_visit():
         assert output_id not in seen
         seen.add(output_id)
     grads = backward(z)
-    assert np.allclose(grads[x.tid].data, 2 * x.data + 1)
+    assert np.allclose(grads[x.tid], 2 * x.data + 1)
 
 
 def test_tensors_are_immutable():
@@ -263,7 +263,7 @@ def test_plain_constant_on_tape_matches_tensor_constant(kind):
             out = forward_op(kind, [x] + [wrap(a) for a in arrays[1:]], **kwargs)
             (node,) = tape.nodes
             assert node[0] == kind and node[1] == (x.tid,) + (None,) * (len(arrays) - 1)
-            grad = backward(T.sum_all(out * mixer))[x.tid].data
+            grad = backward(T.sum_all(out * mixer))[x.tid]
             runs.append((out.data.tobytes(), grad.tobytes()))
         assert runs[0] == runs[1]
 
@@ -350,7 +350,7 @@ def test_segment_sum_matches_sequential_rows_bit_for_bit():
         out = T.segment_sum(x, segments)
         assert out.data.tobytes() == _sequential_segment_sum(a, segments).tobytes()
         g = rng.normal(size=out.data.shape)
-        grad = backward(T.sum_all(out * Tensor(g)))[x.tid].data
+        grad = backward(T.sum_all(out * Tensor(g)))[x.tid]
         assert grad.tobytes() == _segment_sum_grad(g, segments, a.shape).tobytes()
 
 

@@ -87,6 +87,37 @@ class TestTrainLoop:
         for name, old in before.items():
             assert np.allclose(trainer.value_params[name].data, old, atol=1e-20)
 
+    @pytest.mark.parametrize(
+        "store,name", [("value", "sing.b1"), ("agent_model", "graph.edge.w0")]
+    )
+    def test_non_finite_gradient_stops_before_adam(self, store, name, monkeypatch):
+        trainer = Trainer(tiny_cfg())
+        bound = {}
+        bind, real_backward = nn.ParamStore.bind, trainer_module.backward
+
+        def recording_bind(params, tape):
+            leaves = bind(params, tape)
+            bound["value" if params is trainer.value_params else "agent_model"] = leaves
+            return leaves
+
+        def poisoned_backward(loss):
+            grads = real_backward(loss)
+            tid = bound[store][name].tid
+            if trainer.iteration == 1 and tid in grads:
+                grads[tid] = np.full(grads[tid].shape, np.nan)
+            return grads
+
+        monkeypatch.setattr(nn.ParamStore, "bind", recording_bind)
+        monkeypatch.setattr(trainer_module, "backward", poisoned_backward)
+        before = trainer.value_params, trainer.model_params
+        trainer.run_iteration()
+        trainer.run_iteration()
+        trainer.run_iteration()
+        message = f"global step 8: store {store!r}, parameter {name!r}"
+        with pytest.raises(ValueError, match=message):
+            trainer.run_iteration()
+        assert (trainer.value_params, trainer.model_params) == before
+
     def test_total_zero_steps_only_initial_record(self):
         res = train(tiny_cfg(total_steps=0))
         assert [r["global_step"] for r in res.records] == [0]
@@ -476,9 +507,10 @@ class TestCollectTransitions:
         episodes = collect_transitions(cfg, steps=60, seed=3)
         assert sum(len(e) for e in episodes) == 60
         for episode in episodes:
-            for rec in episode[:-1]:
-                assert not rec.done
-            assert set(rec.joint_action) == set(rec.roster_ids)
+            for (obs, res), (next_obs, _) in zip(episode, episode[1:]):
+                assert not res.done and next_obs is res.obs
+            for obs, res in episode:
+                assert set(res.joint_action) == set(obs.order)
 
 
 class TestHeldoutNll:
@@ -489,15 +521,15 @@ class TestHeldoutNll:
         total, count = 0.0, 0
         for episode in episodes:
             store = EmbeddingStore(cfg.net.embedding_dim, ("model",))
-            pending = ([], list(episode[0].roster_ids))
-            for rec in episode:
-                probs, mates = agent_model_step(params, rec.obs, store, *pending)
+            pending = ([], list(episode[0][0].order))
+            for obs, res in episode:
+                probs, mates = agent_model_step(params, obs, store, *pending)
                 if mates:
-                    actions = [rec.joint_action[rec.roster_ids[r]] for r in mates]
+                    actions = [res.joint_action[obs.order[r]] for r in mates]
                     total += float(agent_model_loss(probs, mates, actions).data)
                     count += len(mates)
-                pending = (rec.departures, rec.arrivals)
-                if rec.done:
+                pending = (res.departures, res.arrivals)
+                if res.done:
                     break
         return total / max(count, 1)
 
@@ -505,7 +537,7 @@ class TestHeldoutNll:
     def test_matches_the_per_episode_reference(self, env, reference_forms):
         cfg = default_config(env, "GPL-Q")
         episodes = collect_transitions(cfg, steps=3000, seed=11)
-        assert len(episodes) > 3 and any(rec.arrivals for ep in episodes for rec in ep)
+        assert len(episodes) > 3 and any(res.arrivals for ep in episodes for _, res in ep)
         params = train_agent_model_supervised(cfg, episodes[:-3], seed=11, epochs=1, window=4)
         got = heldout_nll(params, cfg, episodes)
         want = self.reference_nll(params, cfg, episodes, reference_forms.agent_model_step)
@@ -539,8 +571,7 @@ class TestSupervisedWindows:
         leaf = tape.leaf(x)
         self.steps[e][t - back] = (leaf, ids, rows, actions)
         loss = window_loss(params, self.steps, [self.target], self.WINDOW, self.cfg.net.embedding_dim)
-        grad = backward(loss).get(leaf.tid)
-        return None if grad is None else grad.data
+        return backward(loss).get(leaf.tid)
 
     def test_loss_reaches_first_step_of_window(self):
         grad = self.input_gradient(self.WINDOW - 1)
@@ -625,7 +656,7 @@ class TestPadObservation:
 class TestBaselineForward:
     def test_zero_params_zero_values(self):
         params = init_baseline_net(10, 5, SMALL_NET, np.random.default_rng(0))
-        zeroed = params.replace({n: np.zeros(params[n].data.shape) for n in params.names()})
+        zeroed = nn.ParamStore({n: np.zeros(shape) for n, shape in params.shapes().items()})
         q, _ = ql_baseline_forward(
             zeroed, np.ones(10), (Tensor(np.zeros((1, 8))), Tensor(np.zeros((1, 8))))
         )
@@ -651,7 +682,7 @@ class TestBaselineForward:
         x1, x2 = rng.normal(size=6), rng.normal(size=6)
         for name in ("embed.lstm.w", "head.w0", "embed.fc.w0"):
             def f(p, name=name):
-                patched = params.replace({name: p})
+                patched = {**params.arrays, name: p}
                 state = (Tensor(np.zeros((1, 8))), Tensor(np.zeros((1, 8))))
                 _, state = ql_baseline_forward(patched, x1, state)
                 q, _ = ql_baseline_forward(patched, x2, state)

@@ -28,11 +28,10 @@ def main(a, b):
         for store in sa:
             if sa[store].shapes() != sb[store].shapes():
                 sys.exit(f"{name} {store}: parameter names or shapes differ")
-            pairs = [(sa[store][p].data, sb[store][p].data) for p in sa[store].names()]
-            diff = max(float(np.max(np.abs(x - y), initial=0.0)) for x, y in pairs)
-            rel = max(
-                float(np.max(np.abs(x - y) / np.maximum(np.maximum(abs(x), abs(y)), 1e-300), initial=0.0))
-                for x, y in pairs
+            x, y = sa[store].vector, sb[store].vector
+            diff = float(np.max(np.abs(x - y), initial=0.0))
+            rel = float(
+                np.max(np.abs(x - y) / np.maximum(np.maximum(abs(x), abs(y)), 1e-300), initial=0.0)
             )
             print(f"{name} {store}: max abs {diff:.3e}  max rel {rel:.3e}")
     lines = [(Path(d) / "metrics.jsonl").read_text().splitlines() for d in (a, b)]
