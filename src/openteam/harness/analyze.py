@@ -23,9 +23,8 @@ import numpy as np
 
 from .. import tensor as T
 from ..config import GPL_ALGORITHMS, RunConfig
-from ..envs.session import make_session
-from ..learner.trainer import GplPolicy
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import CheckpointError
+from .run import load_policy
 
 
 def action_mean(table: np.ndarray, a_j: int) -> float:
@@ -58,16 +57,13 @@ def _pearson(xs, ys):
 def analyze_pairwise(
     checkpoint_path, cfg: RunConfig, episodes: int = 10, seed: int = 0, literal: bool = False
 ) -> dict:
-    """Greedy-trajectory analysis table for a coordination-graph checkpoint."""
+    """Greedy-trajectory analysis table for a coordination-graph checkpoint,
+    loaded and checked against `cfg` as `evaluate` does (`load_policy`)."""
     if cfg.algorithm not in GPL_ALGORITHMS:
         raise CheckpointError(f"analysis needs a coordination-graph run, got {cfg.algorithm!r}")
-    stores, manifest = load_checkpoint(checkpoint_path)
-    if "agent_model" not in stores:
+    policy, session, manifest = load_policy(checkpoint_path, cfg, seed)
+    if policy.model_params is None:
         raise CheckpointError("checkpoint lacks the agent model store")
-
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    session = make_session(cfg.env, cfg.openness_eval, np.random.default_rng(seeds[0]))
-    policy = GplPolicy(cfg, stores["value"], stores["agent_model"], np.random.default_rng(seeds[1]))
 
     episode_rows = []
     for episode in range(episodes):

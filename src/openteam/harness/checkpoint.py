@@ -57,10 +57,7 @@ def load_checkpoint(path):
             manifest = json.loads(header.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"corrupt checkpoint manifest: {exc}") from exc
-        if manifest.get("format") != FORMAT:
-            raise CheckpointError(f"unsupported checkpoint format {manifest.get('format')!r}")
-
-        lengths = [sum(math.prod(s) for _, s in e) for e in manifest["stores"].values()]
+        lengths = _store_lengths(manifest)
         if size != 8 * sum(lengths):
             raise CheckpointError(
                 f"payload length {size} does not match manifest ({8 * sum(lengths)} bytes)"
@@ -73,6 +70,42 @@ def load_checkpoint(path):
                 raise CheckpointError(f"payload of {path} ended early at store {name}")
             stores[name] = ParamStore.from_vector(dict(entries), vector)
     return stores, manifest
+
+
+def _store_lengths(manifest) -> list:
+    """Each store's parameter count, from a manifest checked to be a JSON
+    object of the supported format, with an integer global step (when given)
+    and stores that each list distinct [name, shape] entries with shapes of
+    non-negative integers."""
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"corrupt checkpoint manifest: a JSON {type(manifest).__name__}")
+    if manifest.get("format") != FORMAT:
+        raise CheckpointError(f"unsupported checkpoint format {manifest.get('format')!r}")
+    if type(manifest.get("global_step", 0)) is not int:
+        raise CheckpointError(f"corrupt checkpoint manifest: global step {manifest['global_step']!r}")
+    stores = manifest.get("stores")
+    if not isinstance(stores, dict):
+        raise CheckpointError(f"corrupt checkpoint manifest: stores is {stores!r}, not an object")
+    lengths = []
+    for name, entries in stores.items():
+        if not isinstance(entries, list):
+            raise CheckpointError(f"corrupt checkpoint manifest: store {name!r} lists {entries!r}")
+        for entry in entries:
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and isinstance(entry[0], str)
+                and isinstance(entry[1], list)
+                and all(type(d) is int and d >= 0 for d in entry[1])
+            ):
+                raise CheckpointError(
+                    f"corrupt checkpoint manifest: store {name!r} entry {entry!r}"
+                    " is not [name, shape of non-negative integers]"
+                )
+        if len({pname for pname, _ in entries}) < len(entries):
+            raise CheckpointError(f"corrupt checkpoint manifest: store {name!r} repeats a name")
+        lengths.append(sum(math.prod(shape) for _, shape in entries))
+    return lengths
 
 
 def shape_diff(expected: dict, found: dict):

@@ -84,6 +84,18 @@ def _check_compatible(cfg: RunConfig, stores: dict):
         )
 
 
+def load_policy(checkpoint_path, cfg: RunConfig, seed: int):
+    """(policy, evaluation session, manifest) of the checkpoint at
+    `checkpoint_path`, after checking that its stores fit `cfg`; the session
+    and the policy draw from the two streams spawned from `seed`."""
+    stores, manifest = load_checkpoint(checkpoint_path)
+    _check_compatible(cfg, stores)
+    seeds = np.random.SeedSequence(seed).spawn(2)
+    session = make_session(cfg.env, cfg.openness_eval, np.random.default_rng(seeds[0]))
+    rng = np.random.default_rng(seeds[1])
+    return GplPolicy(cfg, stores["value"], stores.get("agent_model"), rng), session, manifest
+
+
 def _eval_config(cfg: RunConfig, episodes: int, team_limit: int | None) -> RunConfig:
     """`cfg` with its evaluation team limit set to `team_limit` (when given),
     validated before any episode runs."""
@@ -100,15 +112,7 @@ def evaluate(
     """Mean return (with 95% CI) of the stored policy under the evaluation
     openness process. Pure function of (checkpoint, config, seed)."""
     cfg = _eval_config(cfg, episodes, team_limit)
-    stores, manifest = load_checkpoint(checkpoint_path)
-    _check_compatible(cfg, stores)
-
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    env_rng = np.random.default_rng(seeds[0])
-    policy_rng = np.random.default_rng(seeds[1])
-    session = make_session(cfg.env, cfg.openness_eval, env_rng)
-    policy = GplPolicy(cfg, stores["value"], stores.get("agent_model"), policy_rng)
-
+    policy, session, manifest = load_policy(checkpoint_path, cfg, seed)
     returns = []
     for _ in range(episodes):
         obs = session.reset()

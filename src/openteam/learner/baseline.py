@@ -11,8 +11,8 @@ a value head maps the vector to learner action values.
 training (all environments stacked) and acting (one environment) alike:
 `padded_rows` then `ql_baseline_forward`. Like GPL, a baseline keeps its
 recurrences in one `EmbeddingStore` per environment: the value and target
-maps hold the learner's row alone, and QL-AM's agent-model map follows the
-roster. A roster change is applied when it is observed
+maps hold the learner's row alone (one-row arrays), and QL-AM's agent-model
+map follows the roster. A roster change is applied when it is observed
 (`PaddedStep.follow`): arrivals get their slots and the roster maps are
 realigned. The trainer runs QL-AM's agent model once over the stacked
 rosters of every environment on each pathway and hands its distributions to
@@ -146,8 +146,9 @@ class PaddedStep:
         dim = self.cfg.net.embedding_dim
         slot.obs = obs
         slot.store = EmbeddingStore(dim, ("model",) if self.cfg.algorithm == "QL-AM" else ())
-        zeros = np.zeros(dim)
-        slot.store.value[obs.learner_id] = slot.store.target[obs.learner_id] = (zeros, zeros)
+        zeros = np.zeros((1, dim))
+        for which in ("value", "target"):
+            slot.store.write(which, zeros, zeros, [obs.learner_id])
         preprocess(obs, slot.store, [], obs.order)
         slot.slot_map = SlotMap(self.cfg.max_team_pad - 1)
         slot.slot_map.apply([], [j for j in obs.order if j != obs.learner_id], self.rng)

@@ -6,12 +6,12 @@ vector. Two independent recurrences are kept (one for the value network, one
 for the agent model) so their gradients never interfere, plus a target-side
 copy of the value recurrence.
 
-Every algorithm holds its recurrent (hidden, cell) pairs in one
+Every algorithm holds its recurrent states as id lists and row arrays in one
 `EmbeddingStore` per environment. Each roster change is applied to the maps
-that follow the roster when it is observed (`preprocess`): rows of departed
-agents are dropped and arriving agents start from exact zeros, so such a map
-always lists its environment's current roster. A new episode starts from a
-fresh store.
+that follow the roster when it is observed (`preprocess`): one gather drops
+the rows of departed agents and starts arriving agents from exact zeros, so
+such a map always lists its environment's current roster. A new episode
+starts from a fresh store.
 """
 
 from __future__ import annotations
@@ -34,61 +34,60 @@ def env_dims(cfg) -> tuple[int, int, int]:
 
 
 class EmbeddingStore:
-    """Per-agent (hidden, cell) pairs for the three recurrences.
-
-    The maps named in `roster_maps` list every agent of the roster
-    (`preprocess`); any other map holds the learner's row alone (the
-    baselines' value recurrence) or stays empty.
-    """
+    """Map `which` of the three recurrences is a list of agent ids
+    `ids[which]` and two (n, dim) arrays `h[which]`, `c[which]` whose rows
+    follow the ids. The maps named in `roster_maps` list every agent of the
+    roster (`preprocess`); any other map holds the learner's row alone (the
+    baselines' value recurrence) or stays empty."""
 
     def __init__(self, dim: int, roster_maps=("value", "model", "target")):
         self.dim = dim
         self.roster_maps = roster_maps
-        self.value: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.model: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.target: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.ids = {"value": [], "model": [], "target": []}
+        self.h = dict.fromkeys(self.ids, np.zeros((0, dim)))
+        self.c = dict.fromkeys(self.ids, np.zeros((0, dim)))
 
-    def map(self, which: str) -> dict:
-        return getattr(self, which)
+    def write(self, which: str, h_rows, c_rows, ids=None):
+        """Replace the rows of map `which` (and its ids, when given)."""
+        self.h[which], self.c[which] = h_rows, c_rows
+        if ids is not None:
+            self.ids[which] = list(ids)
 
-    def write(self, which: str, h_rows: np.ndarray, c_rows: np.ndarray):
-        m = self.map(which)
-        for row, agent_id in enumerate(m):
-            m[agent_id] = (h_rows[row], c_rows[row])
+
+def roster_gather(old_ids, new_ids) -> list:
+    """Where each of `new_ids` reads its row from the rows of `old_ids`
+    followed by one zero row: a kept id reads its old row, any other id (an
+    arrival) the zero row at index `len(old_ids)`."""
+    index = {key: r for r, key in enumerate(old_ids)}
+    return [index.get(key, len(old_ids)) for key in new_ids]
 
 
 def preprocess(obs, store: EmbeddingStore, departures, arrivals):
     """Remove departed rows and zero-initialize arrivals, so the store's
-    roster maps list `obs`'s roster in its order. A new episode starts from a
-    fresh store with every agent arriving."""
-    zeros = np.zeros(store.dim)
+    roster maps list `obs`'s roster in its order (maps already listing it
+    are left as they are). A fresh store takes a new episode's roster."""
+    left = set(departures)
     for which in store.roster_maps:
-        m = store.map(which)
-        for agent_id in departures:
-            m.pop(agent_id, None)
-        for agent_id in arrivals:
-            if agent_id in m:
-                raise ValueError(f"arriving agent {agent_id} already has stored state")
-            m[agent_id] = (zeros, zeros)
-        if list(m) != obs.order:
-            # Keys must match the roster; order follows the observation.
-            if set(m) != set(obs.order):
-                raise ValueError(
-                    f"store keys {sorted(m)} do not match roster {sorted(obs.order)}"
-                )
-            reordered = {agent_id: m[agent_id] for agent_id in obs.order}
-            m.clear()
-            m.update(reordered)
+        if not (left or arrivals) and store.ids[which] == obs.order:
+            continue
+        # None masks departed rows: a departed agent that arrives restarts.
+        old = [None if j in left else j for j in store.ids[which]]
+        known = [j for j in old if j is not None] + list(arrivals)
+        if len(set(known)) < len(known):
+            raise ValueError(f"an agent arriving in {list(arrivals)} already has stored state")
+        if set(known) != set(obs.order):
+            raise ValueError(f"store keys {sorted(known)} do not match roster {sorted(obs.order)}")
+        rows, zero = roster_gather(old, obs.order), np.zeros((1, store.dim))
+        h, c = (np.concatenate([m[which], zero])[rows] for m in (store.h, store.c))
+        store.write(which, h, c, obs.order)
 
 
 def stacked(stores, which: str):
     """(H, C) rows of map `which` of every store, in store then roster order;
     (0, dim) when all are empty."""
-    entries = [pair for store in stores for pair in store.map(which).values()]
-    dim = stores[0].dim
     return (
-        np.array([h for h, _ in entries]).reshape(-1, dim),
-        np.array([c for _, c in entries]).reshape(-1, dim),
+        np.concatenate([store.h[which] for store in stores]),
+        np.concatenate([store.c[which] for store in stores]),
     )
 
 

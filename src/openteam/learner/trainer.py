@@ -25,14 +25,14 @@ embeddings and utility heads run once over it, and each team's rows are
 marginalized into its learner's action values. Joint values and losses are
 batched too, with per-team segment sums.
 
-Every slot keeps its recurrent states in one `EmbeddingStore` and follows
-its roster: right after a step the store is realigned to the next roster
-(`preprocess`). The target pathway keeps its own recurrent state, advanced
-at s' with the target parameters, while the s' teammate distributions come
-from the online agent model (advanced one step ahead of its stored states
-and then discarded). Only the online pathway is taped: the target pathway
-and acting pass the stores' plain arrays (`ParamStore.arrays`), so they
-build no Tensor.
+Every slot keeps its recurrent states as row arrays in one `EmbeddingStore`
+and follows its roster: right after a step the store is realigned to the
+next roster (`preprocess`). The target pathway keeps its own recurrent
+state, advanced at s' with the target parameters, while the s' teammate
+distributions come from the online agent model (advanced one step ahead of
+its stored states and then discarded). Only the online pathway is taped:
+the target pathway and acting pass the stores' plain arrays
+(`ParamStore.arrays`), so they build no Tensor.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .model import (
     init_model_net,
     init_value_net,
     preprocess,
+    roster_gather,
     stacked,
 )
 from .values import (
@@ -515,8 +516,8 @@ def window_loss(params, steps, targets, window: int, dim: int) -> Tensor:
     their windows run in lockstep. The state starts from zeros at a window's
     first step (or at the episode's first step when that comes later), rows of
     agents arriving inside the window start from zeros, rows of departed agents
-    are dropped, and the state stays on the tape throughout, so the loss
-    reaches every step of the window.
+    are dropped (`roster_gather`, as in `preprocess`), and the state stays on
+    the tape throughout, so the loss reaches every step of the window.
     """
     keys, h, c = [], np.zeros((0, dim)), np.zeros((0, dim))
     zero = np.zeros((1, dim))
@@ -530,8 +531,7 @@ def window_loss(params, steps, targets, window: int, dim: int) -> Tensor:
             groups.append((n, len(ids)))
             new_keys.extend((k, j) for j in ids)
             n += len(ids)
-        index = {key: r for r, key in enumerate(keys)}
-        gather = [index.get(key, len(keys)) for key in new_keys]
+        gather = roster_gather(keys, new_keys)
         h0 = T.select_rows(T.concat_first([h, zero]), gather)
         c0 = T.select_rows(T.concat_first([c, zero]), gather)
         h, c = embed_rows(params, T.concat_first(rows), h0, c0)

@@ -3,8 +3,9 @@
 Each function is the straightforward form that the package replaced with a
 cheaper or more general one: per-call neighbour lists, a team-aware plan
 rebuilt for every teammate, an any(...) scan for occupied targets, prey
-scores as a min over a generator of Chebyshev distances, and a
-single-environment agent-model step.
+scores as a min over a generator of Chebyshev distances, a
+single-environment agent-model step, and roster realignment on a dict of
+per-agent (h, c) rows.
 Tests compare the package against them, either directly or by patching them
 all in and replaying whole sessions. Tests reach them through the
 ``reference_forms`` fixture.
@@ -122,6 +123,24 @@ def ref_prey_act(state, prey_index, rng):
     return int(choices[int(rng.integers(0, len(choices)))])
 
 
+def ref_preprocess(order, rows: dict, departures, arrivals, zeros):
+    """One map of the per-agent form of `preprocess`: `rows` maps agent id ->
+    (h, c). Departed rows are popped, arrivals start from `zeros`, and the
+    rows are reordered to `order`."""
+    for agent_id in departures:
+        rows.pop(agent_id, None)
+    for agent_id in arrivals:
+        if agent_id in rows:
+            raise ValueError(f"arriving agent {agent_id} already has stored state")
+        rows[agent_id] = (zeros, zeros)
+    if list(rows) != order:
+        if set(rows) != set(order):
+            raise ValueError(f"store keys {sorted(rows)} do not match roster {sorted(order)}")
+        reordered = {agent_id: rows[agent_id] for agent_id in order}
+        rows.clear()
+        rows.update(reordered)
+
+
 def ref_agent_model_step(params, obs, store, departures, arrivals):
     """Advance the agent model's recurrence in `store` to `obs`; returns
     every agent's predicted action distribution (None when the learner is
@@ -150,5 +169,6 @@ def reference_forms():
         resolve_moves=ref_resolve_moves,
         prey_act=ref_prey_act,
         agent_model_step=ref_agent_model_step,
+        preprocess=ref_preprocess,
         patch=patch_reference_forms,
     )

@@ -223,38 +223,36 @@ def test_06_hidden_state_bookkeeping():
             return o
 
         preprocess(make_obs(order), store, [], order)
-        for j in store.value:
-            store.value[j] = (rng.normal(size=dim), rng.normal(size=dim))
+        store.write("value", rng.normal(size=(n0, dim)), rng.normal(size=(n0, dim)))
 
         survivors = [j for j in order if j == 0 or rng.random() < 0.6]
         departed = [j for j in order if j not in survivors]
         arrivals = [100 + i for i in range(int(rng.integers(0, 3)))]
         new_order = survivors + arrivals
-        kept = {j: store.value[j] for j in survivors}
+        rows = [order.index(j) for j in survivors]
+        kept = (store.h["value"][rows].tobytes(), store.c["value"][rows].tobytes())
         preprocess(make_obs(new_order), store, departed, arrivals)
 
-        if list(store.value) != new_order:
+        h, c = store.h["value"], store.c["value"]
+        if store.ids["value"] != new_order or not h.shape == c.shape == (len(new_order), dim):
             ok = False
-        for j in survivors:
-            if store.value[j][0] is not kept[j][0]:
-                ok = False
-        for j in arrivals:
-            if not (np.all(store.value[j][0] == 0) and np.all(store.value[j][1] == 0)):
-                ok = False
+        n = len(survivors)
+        if (h[:n].tobytes(), c[:n].tobytes()) != kept:
+            ok = False
+        if not (np.all(h[n:] == 0) and np.all(c[n:] == 0)):
+            ok = False
         for j in departed:
-            if j in store.value:
+            if j in store.ids["value"]:
                 ok = False
 
         # episode end: everyone departs, the next roster arrives fresh
         next_order = [0, 500]
         preprocess(make_obs(next_order), store, new_order, next_order)
         for which in ("value", "model", "target"):
-            m = store.map(which)
-            if list(m) != next_order:
+            if store.ids[which] != next_order or store.h[which].shape != (2, dim):
                 ok = False
-            for h, c in m.values():
-                if np.any(h != 0) or np.any(c != 0):
-                    ok = False
+            if np.any(store.h[which] != 0) or np.any(store.c[which] != 0):
+                ok = False
         if not ok:
             break
     report("6 hidden-state-bookkeeping", ok, detail)

@@ -262,6 +262,16 @@ class TestConfig:
             assert tiny_cfg(algorithm, max_team_pad=4).max_team_pad == 4
 
 
+def shape_edit(shape):
+    """A manifest edit that gives the first parameter of store "value" `shape`."""
+
+    def edit(manifest):
+        manifest["stores"]["value"][0][1] = shape
+        return manifest
+
+    return edit
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -387,6 +397,26 @@ class TestCheckpoint:
         path = tmp_path / "x.otck"
         path.write_bytes(b"\x80\x81 not json\n12345678")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda m: {k: v for k, v in m.items() if k != "stores"}, "stores is None"),
+            (lambda m: [m], "a JSON list"),
+            (shape_edit("ab"), "entry \\['w', 'ab'\\]"),
+            (shape_edit([-2]), "entry \\['w', \\[-2\\]\\]"),
+            (lambda m: {**m, "global_step": "12"}, "global step '12'"),
+        ],
+        ids=["no-stores", "list", "shape-string", "shape-negative", "step-string"],
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, edit, problem):
+        # Manifests that parse as JSON but do not describe the payload.
+        path = tmp_path / "x.otck"
+        save_checkpoint({"value": nn.ParamStore({"w": np.ones((4, 4))})}, path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + payload)
+        with pytest.raises(CheckpointError, match=problem):
             load_checkpoint(path)
 
 
@@ -523,6 +553,18 @@ class TestAnalysis:
         result = analyze_pairwise(ckpt, cfg, episodes=2, seed=1)
         assert len(result["episodes"]) == 2
         assert "pair_action_value_vs_return" in result["correlations"]
+
+    @pytest.mark.parametrize(
+        "net", [{"rank": SMALL_NET.rank + 1}, {"embedding_dim": 12}], ids=["rank", "embedding"]
+    )
+    def test_incompatible_checkpoint_rejected_with_diff(self, tmp_path, net):
+        # The same check as `evaluate`, before any episode runs.
+        cfg = tiny_cfg()
+        out = run_training(cfg, tmp_path / "run")
+        ckpt = os.path.join(out, "ckpt_000000024.otck")
+        other = replace(cfg, net=replace(cfg.net, **net)).validate()
+        with pytest.raises(CheckpointError, match="expected"):
+            analyze_pairwise(ckpt, other, episodes=1, seed=0)
 
     def test_non_gpl_checkpoint_rejected(self, tmp_path):
         cfg = tiny_cfg("QL")

@@ -1,7 +1,10 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from openteam import nn
@@ -105,39 +108,83 @@ class TestPreprocess:
         obs1 = obs_for([0, 1, 2, 3])
         preprocess(obs1, store, [], [0, 1, 2, 3])
         rng = np.random.default_rng(0)
-        for j in store.value:
-            store.value[j] = (rng.normal(size=3), rng.normal(size=3))
-        kept = {j: store.value[j] for j in (0, 1, 2)}
+        store.write("value", rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+        kept = (store.h["value"][:3].tobytes(), store.c["value"][:3].tobytes())
 
         obs2 = obs_for([0, 1, 2, 4, 5])
         preprocess(obs2, store, [3], [4, 5])
-        assert list(store.value) == [0, 1, 2, 4, 5]
-        for j in (0, 1, 2):
-            assert store.value[j][0] is kept[j][0]  # surviving rows untouched
-        for j in (4, 5):
-            assert np.all(store.value[j][0] == 0) and np.all(store.value[j][1] == 0)
+        assert store.ids["value"] == [0, 1, 2, 4, 5]
+        h, c = store.h["value"], store.c["value"]
+        assert (h[:3].tobytes(), c[:3].tobytes()) == kept  # surviving rows untouched
+        assert np.all(h[3:] == 0) and np.all(c[3:] == 0)
 
     def test_no_change_is_identity(self):
         store = EmbeddingStore(3)
         obs = obs_for([0, 7])
         preprocess(obs, store, [], [0, 7])
-        before = {j: store.value[j] for j in store.value}
+        before = {which: (store.h[which], store.c[which]) for which in store.roster_maps}
         preprocess(obs, store, [], [])
-        assert {j: store.value[j] for j in store.value} == before
+        for which, (h, c) in before.items():
+            assert store.h[which] is h and store.c[which] is c  # no gather, no copy
+            assert store.ids[which] == [0, 7]
 
     def test_episode_end_resets_everything(self):
         store = EmbeddingStore(3)
         obs = obs_for([0, 1])
         preprocess(obs, store, [], [0, 1])
-        store.value[0] = (np.ones(3), np.ones(3))
-        store.model[1] = (np.ones(3), np.ones(3))
+        store.write("value", np.ones((2, 3)), np.ones((2, 3)))
+        store.write("model", np.ones((2, 3)), np.ones((2, 3)))
         new_obs = obs_for([0, 9])
         preprocess(new_obs, store, [0, 1], [0, 9])
         for which in ("value", "model", "target"):
-            m = store.map(which)
-            assert list(m) == [0, 9]
-            for h, c in m.values():
-                assert np.all(h == 0) and np.all(c == 0)
+            assert store.ids[which] == [0, 9]
+            assert store.h[which].shape == store.c[which].shape == (2, 3)
+            assert np.all(store.h[which] == 0) and np.all(store.c[which] == 0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_agent_reference(self, data, reference_forms):
+        # Random roster changes: departures (of stored agents or not),
+        # arrivals (new, returning or clashing), reorders, everyone
+        # departing, and rosters that do not match the change.
+        draw = data.draw
+        dim = 3
+        old = draw(st.lists(st.integers(0, 9), unique=True, max_size=5), label="old")
+        departures = draw(st.lists(st.sampled_from(old + [10, 11]), max_size=6), label="departures")
+        if old and draw(st.booleans(), label="everyone departs"):
+            departures = list(old)
+        arrivals = draw(st.lists(st.integers(0, 14), max_size=4), label="arrivals")
+        kept = [j for j in old if j not in departures]
+        roster = list(dict.fromkeys(kept + arrivals))
+        order = draw(st.permutations(roster), label="order")
+        if draw(st.integers(0, 7), label="mismatch") == 0:
+            extra = draw(st.integers(0, 14), label="extra")
+            order = [j for j in order if j != extra] if extra in order else order + [extra]
+
+        rng = np.random.default_rng(draw(st.integers(0, 2**16), label="seed"))
+        store = EmbeddingStore(dim)
+        preprocess(SimpleNamespace(order=old), store, [], old)
+        reference = {}
+        for which in store.roster_maps:
+            h, c = rng.normal(size=(len(old), dim)), rng.normal(size=(len(old), dim))
+            store.write(which, h, c)
+            reference[which] = {j: (h[r], c[r]) for r, j in enumerate(old)}
+
+        try:
+            for rows in reference.values():
+                reference_forms.preprocess(order, rows, departures, arrivals, np.zeros(dim))
+        except ValueError:
+            with pytest.raises(ValueError):
+                preprocess(SimpleNamespace(order=order), store, departures, arrivals)
+            return
+        preprocess(SimpleNamespace(order=order), store, departures, arrivals)
+        fresh = [r for r, j in enumerate(order) if j in arrivals]
+        for which, rows in reference.items():
+            assert store.ids[which] == list(rows) == order
+            for got, k in ((store.h[which], 0), (store.c[which], 1)):
+                want = np.array([pair[k] for pair in rows.values()]).reshape(-1, dim)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert np.all(got[fresh] == 0)
 
     def test_duplicate_arrival_rejected(self):
         store = EmbeddingStore(3)
@@ -151,7 +198,7 @@ class TestPreprocess:
         obs = obs_for([0, 4, 2])
         preprocess(obs, store, [], [0, 4, 2])
         batch = Teams([obs]).rows
-        assert list(store.value) == [0, 4, 2]
+        assert store.ids["value"] == [0, 4, 2]
         expect = np.stack([np.concatenate([obs.x[j], obs.u]) for j in (0, 4, 2)])
         assert np.array_equal(batch, expect)
 
@@ -406,9 +453,9 @@ class TestMarginalQ:
         obs = obs_for([0, 1, 2])
         preprocess(obs, store, [], [0, 1, 2])
         batch = Teams([obs]).rows
-        for j in store.value:
-            store.value[j] = (rng.normal(size=NET.embedding_dim), rng.normal(size=NET.embedding_dim))
-            store.model[j] = (rng.normal(size=NET.embedding_dim), rng.normal(size=NET.embedding_dim))
+        for which in ("value", "model"):
+            shape = (3, NET.embedding_dim)
+            store.write(which, rng.normal(size=shape), rng.normal(size=shape))
 
         def qbar():
             h, _ = embed_rows(params_v, batch, *stacked([store], "value"))

@@ -1,6 +1,7 @@
 """The refactor guard tools in `tools/`, run as their command lines are."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -34,16 +35,21 @@ def tiny_run(out_dir, **kw):
     return run_training(replace(cfg, **kw).validate(), str(out_dir))
 
 
-def ckptdiff(a, b):
+def tool(name, *args, timeout=120):
+    """Run `tools/<name>` on `args` as its command line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ckptdiff.py"), str(a), str(b)],
+        [sys.executable, str(ROOT / "tools" / name), *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
-        timeout=120,
+        timeout=timeout,
     )
+
+
+def ckptdiff(a, b):
+    return tool("ckptdiff.py", a, b)
 
 
 class TestCkptdiff:
@@ -61,3 +67,15 @@ class TestCkptdiff:
         out = ckptdiff(a, b)
         assert out.returncode == 1
         assert "checkpoint names differ" in out.stderr
+
+
+class TestFingerprint:
+    def test_short_run_prints_one_row_per_algorithm_and_env(self):
+        out = tool("fingerprint.py", "--steps", 32, "--every", 16, timeout=300)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0] == "# steps=32 every=16 OPENBLAS_NUM_THREADS=1"
+        row = re.compile(r"\| (\S+) \| (\S+) \| ([0-9a-f]{64}) \| ([0-9a-f]{64}) \|")
+        rows = [m and m.groups()[:2] for m in map(row.fullmatch, lines[3:])]
+        grid = [(a, e) for a in ("GPL-Q", "GPL-SPI", "QL", "QL-AM") for e in ("wolfpack", "lbf")]
+        assert rows == grid

@@ -302,10 +302,9 @@ class TestSharedForward:
             teams, probs = trainer_module.model_pass(model, slots, write=True)
             qbars, _ = trainer.step.values(value, slots, teams, probs, "value")
             states = [
-                (h.tobytes(), c.tobytes())
-                for slot in slots
+                (store.ids[which], store.h[which].tobytes(), store.c[which].tobytes())
+                for store in (slot.store for slot in slots)
                 for which in ("value", "model")
-                for h, c in slot.store.map(which).values()
             ]
             probs = None if probs is None else T.raw(probs).tobytes()
             runs.append((probs, [q.tobytes() for q in qbars], states))
@@ -380,11 +379,10 @@ class TestBatchedAgentModel:
             written = copy.deepcopy(store)
             if not res.done:
                 preprocess(res.obs, written, res.departures, res.arrivals)
-            assert list(slot.store.model) == list(written.model)
-            for j, (h, c) in written.model.items():
-                got_h, got_c = slot.store.model[j]
-                assert np.max(np.abs(got_h - h)) <= 1e-12
-                assert np.max(np.abs(got_c - c)) <= 1e-12
+            assert slot.store.ids["model"] == written.ids["model"]
+            for got, want_rows in ((slot.store.h, written.h), (slot.store.c, written.c)):
+                assert got["model"].shape == want_rows["model"].shape
+                assert np.max(np.abs(got["model"] - want_rows["model"])) <= 1e-12
             if not mates:
                 continue
             assert np.max(np.abs(probs.data[lo:hi] - want.data)) <= 1e-12
@@ -396,10 +394,9 @@ class TestBatchedAgentModel:
         # distributions as advancing a copy of each store one step ahead.
         assert target_model is trainer.model_params.arrays
         for slot, store in zip(trainer.slots, before):
-            assert list(slot.store.model) == list(store.model)
-            for j, (h, c) in store.model.items():
-                assert np.array_equal(slot.store.model[j][0], h)
-                assert np.array_equal(slot.store.model[j][1], c)
+            assert slot.store.ids["model"] == store.ids["model"]
+            assert np.array_equal(slot.store.h["model"], store.h["model"])
+            assert np.array_equal(slot.store.c["model"], store.c["model"])
         live = [e for e, res in enumerate(results) if not res.done]
         assert len(ahead.slices) == len(live)
         for (lo, hi), e in zip(ahead.slices, live):
@@ -441,7 +438,8 @@ class TestStoresFollowTheRoster:
                 want = []
             else:
                 want = [obs.learner_id]
-            assert list(store.map(which)) == want
+            assert store.ids[which] == want
+            assert store.h[which].shape == store.c[which].shape == (len(want), store.dim)
 
     @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL-AM", "QL"])
     def test_trainer_stores(self, algorithm):
@@ -455,10 +453,12 @@ class TestStoresFollowTheRoster:
                 changes += slot.obs.order != rosters[e]
                 rosters[e] = list(slot.obs.order)
                 self.assert_store_follows(algorithm, slot)
+                store = slot.store
                 for which in ("value", "model", "target"):
-                    learner = slot.store.map(which).get(slot.obs.learner_id)
-                    if learner is not None and all(np.any(x != 0) for x in learner):
-                        advanced.add(which)
+                    if slot.obs.learner_id in store.ids[which]:
+                        row = store.ids[which].index(slot.obs.learner_id)
+                        if np.any(store.h[which][row] != 0) and np.any(store.c[which][row] != 0):
+                            advanced.add(which)
         assert changes >= 10
         used = {"value", "target"} if algorithm == "QL" else {"value", "model", "target"}
         assert advanced == used
