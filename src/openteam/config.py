@@ -112,6 +112,20 @@ class RunConfig:
         limit = max(self.openness_train.team_limit, self.openness_eval.team_limit)
         if self.algorithm not in GPL_ALGORITHMS and self.max_team_pad < limit:
             raise ConfigError("padded input must cover the largest team limit")
+        env = self.env
+        for openness in (self.openness_train, self.openness_eval):
+            unknown = [t for t in openness.type_pool if t not in _default_pool(env.name)]
+            if unknown:
+                raise ConfigError(f"teammate types {unknown} are not {env.name} types")
+        if min(env.width, env.height, env.horizon) < 1:
+            raise ConfigError("grid width, height and horizon must be >= 1")
+        if min(env.prey_count, env.n_objects) < 0:
+            raise ConfigError("prey and object counts must be >= 0")
+        # The largest team, the prey or objects and, on wolfpack, one spare
+        # cell: a capture respawns its prey while its old cell is occupied.
+        need = limit + (env.prey_count + 1 if env.name == "wolfpack" else env.n_objects)
+        if env.width * env.height < need:
+            raise ConfigError(f"a {env.width}x{env.height} grid has fewer than {need} cells")
         return self
 
 

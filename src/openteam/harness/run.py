@@ -51,17 +51,7 @@ def run_training(cfg: RunConfig, out_dir) -> str:
     def on_record(global_step, stores, record):
         ckpt = os.path.join(out_dir, f"ckpt_{global_step:09d}.otck")
         save_checkpoint(stores, ckpt, config_hash=digest, global_step=global_step)
-        append_record(
-            metrics_path,
-            MetricRecord(
-                global_step=global_step,
-                episodes=record["episodes"],
-                mean_return=record["mean_return"],
-                ci95=record["ci95"],
-                agent_model_nll=record["agent_model_nll"],
-                mean_qbar=record["mean_qbar"],
-            ),
-        )
+        append_record(metrics_path, MetricRecord(**record))
 
     train(cfg, on_record=on_record)
     return out_dir
@@ -129,14 +119,7 @@ def evaluate(
         returns.append(total)
 
     mean, ci = mean_ci(returns)
-    return MetricRecord(
-        global_step=int(manifest.get("global_step", 0)),
-        episodes=len(returns),
-        mean_return=mean,
-        ci95=ci,
-        agent_model_nll=None,
-        mean_qbar=None,
-    )
+    return MetricRecord(int(manifest.get("global_step", 0)), len(returns), mean, ci)
 
 
 def random_policy_record(cfg: RunConfig, episodes: int, seed: int, team_limit=None) -> MetricRecord:

@@ -10,13 +10,13 @@ a value head maps the vector to learner action values.
 `PaddedStep` is the baselines' value side of the trainer's iteration, for
 training (all environments stacked) and acting (one environment) alike:
 `padded_rows` then `ql_baseline_forward`. Like GPL, a baseline keeps its
-recurrences in one `EmbeddingStore` per environment: the value and target
-maps hold the learner's row alone (one-row arrays), and QL-AM's agent-model
-map follows the roster. A roster change is applied when it is observed
-(`PaddedStep.follow`): arrivals get their slots and the roster maps are
-realigned. The trainer runs QL-AM's agent model once over the stacked
-rosters of every environment on each pathway and hands its distributions to
-`values`.
+recurrences in one `EmbeddingStore` per environment, which lists the
+roster: the value and target maps hold the learner's row alone (one-row
+arrays), and QL-AM's agent-model map follows the roster. A roster change is
+applied when it is observed (`PaddedStep.follow`): arrivals get their slots
+and the store is realigned. The trainer runs QL-AM's agent model once over
+the stacked rosters of every environment on each pathway and hands its
+distributions to `values`.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ class PaddedStep:
         slot.store = EmbeddingStore(dim, ("model",) if self.cfg.algorithm == "QL-AM" else ())
         zeros = np.zeros((1, dim))
         for which in ("value", "target"):
-            slot.store.write(which, zeros, zeros, [obs.learner_id])
+            slot.store.write(which, zeros, zeros)
         preprocess(obs, slot.store, [], obs.order)
         slot.slot_map = SlotMap(self.cfg.max_team_pad - 1)
         slot.slot_map.apply([], [j for j in obs.order if j != obs.learner_id], self.rng)

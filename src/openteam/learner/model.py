@@ -6,12 +6,13 @@ vector. Two independent recurrences are kept (one for the value network, one
 for the agent model) so their gradients never interfere, plus a target-side
 copy of the value recurrence.
 
-Every algorithm holds its recurrent states as id lists and row arrays in one
-`EmbeddingStore` per environment. Each roster change is applied to the maps
-that follow the roster when it is observed (`preprocess`): one gather drops
-the rows of departed agents and starts arriving agents from exact zeros, so
-such a map always lists its environment's current roster. A new episode
-starts from a fresh store.
+Every algorithm holds its recurrent states in one `EmbeddingStore` per
+environment: one id list, its environment's current roster, and row arrays.
+Each roster change is applied once when it is observed (`preprocess`): the
+checks and the gather index are built once per change, and the same gather
+drops the rows of departed agents and starts arriving agents from exact
+zeros in every map that follows the roster. A new episode starts from a
+fresh store.
 """
 
 from __future__ import annotations
@@ -34,24 +35,22 @@ def env_dims(cfg) -> tuple[int, int, int]:
 
 
 class EmbeddingStore:
-    """Map `which` of the three recurrences is a list of agent ids
-    `ids[which]` and two (n, dim) arrays `h[which]`, `c[which]` whose rows
-    follow the ids. The maps named in `roster_maps` list every agent of the
-    roster (`preprocess`); any other map holds the learner's row alone (the
-    baselines' value recurrence) or stays empty."""
+    """Map `which` of the three recurrences is two (n, dim) arrays
+    `h[which]`, `c[which]`. `ids` is the roster of the store's environment
+    (`preprocess`), and the rows of each map named in `roster_maps` follow
+    it; any other map holds the learner's row alone (the baselines' value
+    recurrence) or stays empty."""
 
     def __init__(self, dim: int, roster_maps=("value", "model", "target")):
         self.dim = dim
         self.roster_maps = roster_maps
-        self.ids = {"value": [], "model": [], "target": []}
-        self.h = dict.fromkeys(self.ids, np.zeros((0, dim)))
-        self.c = dict.fromkeys(self.ids, np.zeros((0, dim)))
+        self.ids = []
+        self.h = dict.fromkeys(("value", "model", "target"), np.zeros((0, dim)))
+        self.c = dict.fromkeys(self.h, np.zeros((0, dim)))
 
-    def write(self, which: str, h_rows, c_rows, ids=None):
-        """Replace the rows of map `which` (and its ids, when given)."""
+    def write(self, which: str, h_rows, c_rows):
+        """Replace the rows of map `which`."""
         self.h[which], self.c[which] = h_rows, c_rows
-        if ids is not None:
-            self.ids[which] = list(ids)
 
 
 def roster_gather(old_ids, new_ids) -> list:
@@ -63,23 +62,25 @@ def roster_gather(old_ids, new_ids) -> list:
 
 
 def preprocess(obs, store: EmbeddingStore, departures, arrivals):
-    """Remove departed rows and zero-initialize arrivals, so the store's
-    roster maps list `obs`'s roster in its order (maps already listing it
-    are left as they are). A fresh store takes a new episode's roster."""
+    """Remove departed rows and zero-initialize arrivals, so the store lists
+    `obs`'s roster in its order and its roster maps follow it (a store
+    already listing it is left as it is). A fresh store takes a new
+    episode's roster."""
     left = set(departures)
+    if not (left or arrivals) and store.ids == obs.order:
+        return
+    # None masks departed rows: a departed agent that arrives restarts.
+    old = [None if j in left else j for j in store.ids]
+    known = [j for j in old if j is not None] + list(arrivals)
+    if len(set(known)) < len(known):
+        raise ValueError(f"an agent arriving in {list(arrivals)} already has stored state")
+    if set(known) != set(obs.order):
+        raise ValueError(f"store keys {sorted(known)} do not match roster {sorted(obs.order)}")
+    rows, zero = roster_gather(old, obs.order), np.zeros((1, store.dim))
     for which in store.roster_maps:
-        if not (left or arrivals) and store.ids[which] == obs.order:
-            continue
-        # None masks departed rows: a departed agent that arrives restarts.
-        old = [None if j in left else j for j in store.ids[which]]
-        known = [j for j in old if j is not None] + list(arrivals)
-        if len(set(known)) < len(known):
-            raise ValueError(f"an agent arriving in {list(arrivals)} already has stored state")
-        if set(known) != set(obs.order):
-            raise ValueError(f"store keys {sorted(known)} do not match roster {sorted(obs.order)}")
-        rows, zero = roster_gather(old, obs.order), np.zeros((1, store.dim))
-        h, c = (np.concatenate([m[which], zero])[rows] for m in (store.h, store.c))
-        store.write(which, h, c, obs.order)
+        for m in (store.h, store.c):
+            m[which] = np.concatenate([m[which], zero])[rows]
+    store.ids = list(obs.order)
 
 
 def stacked(stores, which: str):

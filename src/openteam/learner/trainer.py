@@ -5,12 +5,12 @@ every environment, follows each continuing one to its next roster, restarts
 finished episodes, runs the agent model once per pathway over the stacked
 rosters of all environments (`model_pass`) and builds the TD targets. It
 turns the value of the actions taken, their targets and the teammate-action
-NLL into losses, accumulates their gradients over a configured number of
-iterations (one vector per parameter store) and applies them with Adam,
-after checking that the losses and gradients are finite; the value-side
-target copy tracks the online parameters by Polyak averaging every
-iteration. It also keeps the episode returns and learning signals of the
-metric window.
+NLL (`teammate_nll`) into losses, accumulates their gradients over a
+configured number of iterations (one vector per parameter store) and
+applies them with Adam, after checking that the losses and gradients are
+finite; the value-side target copy tracks the online parameters by Polyak
+averaging every iteration. It also keeps the episode returns and learning
+signals of the metric window.
 
 The algorithms differ only in their value side, a step object: `GplStep`
 for the coordination-graph learner (GPL-Q / GPL-SPI), `baseline.PaddedStep`
@@ -33,6 +33,10 @@ distributions come from the online agent model (advanced one step ahead of
 its stored states and then discarded). Only the online pathway is taped:
 the target pathway and acting pass the stores' plain arrays
 (`ParamStore.arrays`), so they build no Tensor.
+
+The supervised agent-model fit on stored episodes (`window_loss`) and its
+held-out score (`heldout_nll`) batch each step's observations through the
+same `Teams` and score the teammates' actions with the same `teammate_nll`.
 """
 
 from __future__ import annotations
@@ -122,6 +126,13 @@ def joint_actions(teams: Teams, results) -> list:
     return [res.joint_action[j] for obs, res in zip(teams.obs, results) for j in obs.order]
 
 
+def teammate_nll(probs, teams: Teams, results):
+    """Summed (floored) negative log likelihood of the teammates' actions in
+    `results` under their rows of `probs`, in the row order of `teams`."""
+    acted = joint_actions(teams, results)
+    return agent_model_loss(probs, teams.mates, [acted[r] for r in teams.mates])
+
+
 def model_pass(params, slots, write):
     """One agent-model step over the stacked rosters of `slots`.
 
@@ -196,14 +207,12 @@ class GplStep:
         return joint_values(sing, fac, acted, teams.slices, self.cfg.net.rank)
 
 
-def make_step(cfg: RunConfig, rng, value_params):
+def make_step(cfg: RunConfig, rng):
     """The configured algorithm's step object; `rng` draws the baselines'
-    teammate slots, and their action count is the width of `value_params`'
-    head."""
+    teammate slots."""
     if cfg.algorithm in GPL_ALGORITHMS:
         return GplStep(cfg)
-    head_bias = value_params[nn._layers(value_params, "head.")[-1][1]]
-    return PaddedStep(cfg, rng, head_bias.shape[-1])
+    return PaddedStep(cfg, rng, env_dims(cfg)[2])
 
 
 class Trainer:
@@ -222,7 +231,7 @@ class Trainer:
             cfg, np.random.default_rng(seeds[0]), env_dims(cfg)
         )
         self.learner_rng = np.random.default_rng(seeds[1])
-        self.step = make_step(cfg, np.random.default_rng(seeds[2]), self.value_params)
+        self.step = make_step(cfg, np.random.default_rng(seeds[2]))
         self.slots = []
         for seed in seeds[k:]:
             slot = _Slot(make_session(cfg.env, cfg.openness_train, np.random.default_rng(seed)))
@@ -306,8 +315,7 @@ class Trainer:
 
         nll = None
         if teams is not None and teams.mates:
-            acted = joint_actions(teams, results)
-            nll = agent_model_loss(probs, teams.mates, [acted[r] for r in teams.mates])
+            nll = teammate_nll(probs, teams, results)
             self.record_nll(float(nll.data), len(teams.mates))
         return results, step.taken(out, results, actions), targets, nll
 
@@ -416,7 +424,7 @@ class GplPolicy:
         self.value_params = value_params
         self.model_params = model_params
         self.rng = rng
-        self.step = make_step(cfg, rng, value_params)
+        self.step = make_step(cfg, rng)
         self.slot = _Slot(None)
         self.last_tables = None  # GPL only
         self.last_qbar = None
@@ -477,11 +485,10 @@ def heldout_nll(model_params, cfg: RunConfig, episodes) -> float:
         first = episode[0][0]
         slot = _Slot(None, first, EmbeddingStore(cfg.net.embedding_dim, ("model",)))
         preprocess(first, slot.store, [], first.order)
-        for obs, res in episode:
+        for _, res in episode:
             teams, probs = model_pass(model_params.arrays, [slot], write=True)
             if teams.mates:
-                actions = [res.joint_action[obs.order[r]] for r in teams.mates]
-                total += float(agent_model_loss(probs, teams.mates, actions))
+                total += float(teammate_nll(probs, teams, [res]))
                 count += len(teams.mates)
             if res.done:
                 break
@@ -490,62 +497,37 @@ def heldout_nll(model_params, cfg: RunConfig, episodes) -> float:
     return total / max(count, 1)
 
 
-def supervised_steps(episodes) -> list:
-    """Per episode, per step: (input rows, agent ids, teammate rows, their actions).
-
-    Input rows are one concat(x_j, u) row per agent in roster order; teammate
-    rows index the agents other than the learner.
-    """
-    steps = []
-    for episode in episodes:
-        per_step = []
-        for obs, res in episode:
-            ids = obs.order
-            rows = [r for r, j in enumerate(ids) if j != obs.learner_id]
-            actions = [res.joint_action[ids[r]] for r in rows]
-            per_step.append((obs.batch_rows(), ids, rows, actions))
-        steps.append(per_step)
-    return steps
-
-
-def window_loss(params, steps, targets, window: int, dim: int) -> Tensor:
+def window_loss(params, episodes, targets, window: int, dim: int) -> Tensor:
     """Mean teammate-action NLL at the target steps, each predicted from the
     recurrent state unrolled over the `window` steps that end at it.
 
-    `targets` are (episode, step) pairs into `steps` (see `supervised_steps`);
-    their windows run in lockstep. The state starts from zeros at a window's
-    first step (or at the episode's first step when that comes later), rows of
-    agents arriving inside the window start from zeros, rows of departed agents
-    are dropped (`roster_gather`, as in `preprocess`), and the state stays on
-    the tape throughout, so the loss reaches every step of the window.
+    `targets` are (episode, step) pairs into `episodes` (see
+    `collect_transitions`); their windows run in lockstep, one `Teams` batch
+    over the live windows' observations per unrolled step. The state starts
+    from zeros at a window's first step (or at the episode's first step when
+    that comes later), rows of agents arriving inside the window start from
+    zeros, rows of departed agents are dropped (`roster_gather` over (window,
+    agent) keys, as in `preprocess`), and the state stays on the tape
+    throughout, so the loss reaches every step of the window.
     """
     keys, h, c = [], np.zeros((0, dim)), np.zeros((0, dim))
     zero = np.zeros((1, dim))
     for back in range(window - 1, -1, -1):
-        rows, groups, new_keys, n = [], [], [], 0
-        for k, (e, t) in enumerate(targets):
-            if t < back:
-                continue
-            x, ids, _, _ = steps[e][t - back]
-            rows.append(x)
-            groups.append((n, len(ids)))
-            new_keys.extend((k, j) for j in ids)
-            n += len(ids)
+        live = [(k, episodes[e][t - back][0]) for k, (e, t) in enumerate(targets) if t >= back]
+        if not live:  # every window starts later
+            continue
+        teams = Teams([obs for _, obs in live])
+        new_keys = [(k, j) for k, obs in live for j in obs.order]
         gather = roster_gather(keys, new_keys)
         h0 = T.select_rows(T.concat_first([h, zero]), gather)
         c0 = T.select_rows(T.concat_first([c, zero]), gather)
-        h, c = embed_rows(params, T.concat_first(rows), h0, c0)
+        h, c = embed_rows(params, teams.rows, h0, c0)
         keys = new_keys
 
     # At the last step every window is live, in target order.
-    probs = model_rows(params, h, groups)
-    picked_rows, actions = [], []
-    for (e, t), (start, _) in zip(targets, groups):
-        _, _, rows, acted = steps[e][t]
-        picked_rows.extend(start + r for r in rows)
-        actions.extend(acted)
-    nll = agent_model_loss(probs, picked_rows, actions)
-    return T.scalar_mul(nll, 1.0 / len(picked_rows))
+    probs = model_rows(params, h, teams.groups)
+    nll = teammate_nll(probs, teams, [episodes[e][t][1] for e, t in targets])
+    return T.scalar_mul(nll, 1.0 / len(teams.mates))
 
 
 def train_agent_model_supervised(
@@ -578,8 +560,12 @@ def train_agent_model_supervised(
     params = init_model_net(x_len + u_len, action_count, cfg.net, init_rng)
     opt = nn.AdamState(lr=SUPERVISED_LR)
 
-    steps = supervised_steps(episodes)
-    targets = [(e, t) for e, ep in enumerate(steps) for t, (_, _, rows, _) in enumerate(ep) if rows]
+    targets = [
+        (e, t)
+        for e, episode in enumerate(episodes)
+        for t, (obs, _) in enumerate(episode)
+        if len(obs.order) > 1
+    ]
     total = epochs * -(-len(targets) // SUPERVISED_GROUP)
     warmup = max(1, total // 20)
     update = 0
@@ -588,7 +574,7 @@ def train_agent_model_supervised(
         for lo in range(0, len(order), SUPERVISED_GROUP):
             batch = [targets[i] for i in order[lo : lo + SUPERVISED_GROUP]]
             bound = params.bind(Tape())
-            grads = backward(window_loss(bound, steps, batch, window, cfg.net.embedding_dim))
+            grads = backward(window_loss(bound, episodes, batch, window, cfg.net.embedding_dim))
             ramp = min(1.0, (update + 1) / warmup)
             opt.lr = SUPERVISED_LR * ramp * 0.5 * (1.0 + np.cos(np.pi * update / total))
             params, opt = nn.adam_step(params, params.accumulate(None, bound, grads), opt)

@@ -4,8 +4,9 @@ Each function is the straightforward form that the package replaced with a
 cheaper or more general one: per-call neighbour lists, a team-aware plan
 rebuilt for every teammate, an any(...) scan for occupied targets, prey
 scores as a min over a generator of Chebyshev distances, a
-single-environment agent-model step, and roster realignment on a dict of
-per-agent (h, c) rows.
+single-environment agent-model step, roster realignment on a dict of
+per-agent (h, c) rows, and the supervised window loss on hand-built
+per-step rows, groups, teammate rows and actions.
 Tests compare the package against them, either directly or by patching them
 all in and replaying whole sessions. Tests reach them through the
 ``reference_forms`` fixture.
@@ -17,13 +18,23 @@ does: training bytes differ between thread counts.
 from collections import deque
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from openteam import teammates
+from openteam import tensor as T
 from openteam.envs import foraging, wolfpack
 from openteam.envs.base import DOWN, LEFT, RIGHT, STAY, UP, WOLF_ACTIONS, manhattan, move_target
 from openteam.harness.cli import pin_blas_threads
-from openteam.learner.model import Teams, agent_model_forward, preprocess, stacked
+from openteam.learner.model import (
+    Teams,
+    agent_model_forward,
+    embed_rows,
+    preprocess,
+    roster_gather,
+    stacked,
+)
+from openteam.learner.values import agent_model_loss, model_rows
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -152,6 +163,53 @@ def ref_agent_model_step(params, obs, store, departures, arrivals):
     return probs, teams.mates
 
 
+def ref_supervised_steps(episodes) -> list:
+    """Per episode, per step: (input rows, agent ids, teammate rows, their
+    actions) of `collect_transitions` episodes."""
+    steps = []
+    for episode in episodes:
+        per_step = []
+        for obs, res in episode:
+            ids = obs.order
+            rows = [r for r, j in enumerate(ids) if j != obs.learner_id]
+            actions = [res.joint_action[ids[r]] for r in rows]
+            per_step.append((obs.batch_rows(), ids, rows, actions))
+        steps.append(per_step)
+    return steps
+
+
+def ref_window_loss(params, steps, targets, window, dim):
+    """`window_loss` on `ref_supervised_steps` rows: each unrolled step
+    stacks the live windows' rows and groups by hand, and the teammate rows
+    and actions are picked by hand at the last step."""
+    keys, h, c = [], np.zeros((0, dim)), np.zeros((0, dim))
+    zero = np.zeros((1, dim))
+    for back in range(window - 1, -1, -1):
+        rows, groups, new_keys, n = [], [], [], 0
+        for k, (e, t) in enumerate(targets):
+            if t < back:
+                continue
+            x, ids, _, _ = steps[e][t - back]
+            rows.append(x)
+            groups.append((n, len(ids)))
+            new_keys.extend((k, j) for j in ids)
+            n += len(ids)
+        gather = roster_gather(keys, new_keys)
+        h0 = T.select_rows(T.concat_first([h, zero]), gather)
+        c0 = T.select_rows(T.concat_first([c, zero]), gather)
+        h, c = embed_rows(params, T.concat_first(rows), h0, c0)
+        keys = new_keys
+
+    probs = model_rows(params, h, groups)
+    picked_rows, actions = [], []
+    for (e, t), (start, _) in zip(targets, groups):
+        _, _, rows, acted = steps[e][t]
+        picked_rows.extend(start + r for r in rows)
+        actions.extend(acted)
+    nll = agent_model_loss(probs, picked_rows, actions)
+    return T.scalar_mul(nll, 1.0 / len(picked_rows))
+
+
 def patch_reference_forms(mp: pytest.MonkeyPatch) -> None:
     """Route sessions, teammates and env steps through the reference forms."""
     mp.setattr(teammates, "neighbors4", ref_neighbors4)
@@ -170,5 +228,7 @@ def reference_forms():
         prey_act=ref_prey_act,
         agent_model_step=ref_agent_model_step,
         preprocess=ref_preprocess,
+        supervised_steps=ref_supervised_steps,
+        window_loss=ref_window_loss,
         patch=patch_reference_forms,
     )

@@ -234,7 +234,7 @@ def test_06_hidden_state_bookkeeping():
         preprocess(make_obs(new_order), store, departed, arrivals)
 
         h, c = store.h["value"], store.c["value"]
-        if store.ids["value"] != new_order or not h.shape == c.shape == (len(new_order), dim):
+        if store.ids != new_order or not h.shape == c.shape == (len(new_order), dim):
             ok = False
         n = len(survivors)
         if (h[:n].tobytes(), c[:n].tobytes()) != kept:
@@ -242,14 +242,14 @@ def test_06_hidden_state_bookkeeping():
         if not (np.all(h[n:] == 0) and np.all(c[n:] == 0)):
             ok = False
         for j in departed:
-            if j in store.ids["value"]:
+            if j in store.ids:
                 ok = False
 
         # episode end: everyone departs, the next roster arrives fresh
         next_order = [0, 500]
         preprocess(make_obs(next_order), store, new_order, next_order)
         for which in ("value", "model", "target"):
-            if store.ids[which] != next_order or store.h[which].shape != (2, dim):
+            if store.ids != next_order or store.h[which].shape != (2, dim):
                 ok = False
             if np.any(store.h[which] != 0) or np.any(store.c[which] != 0):
                 ok = False

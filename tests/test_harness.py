@@ -171,6 +171,43 @@ NOT_OBJECTS = {
 }
 
 
+def grid_edit(width, height, team_limit, **counts):
+    """A config edit to a `width` x `height` grid, `team_limit` agents at
+    most and the prey or object `counts`."""
+
+    def edit(data):
+        data["environment"].update(width=width, height=height, **counts)
+        for key in ("train", "eval"):
+            data["openness"][key]["team_limit"] = team_limit
+
+    return edit
+
+
+def pool_edit(key, pool):
+    return lambda data: data["openness"][key].update(type_pool=pool)
+
+
+# Configs that used to load and then fail in the first steps of a run: a
+# teammate type from no pool or from the other env's, a degenerate grid or
+# horizon, a negative count, and grids with too few cells for the largest
+# team plus the prey or objects (wolfpack needs one spare cell, since a
+# capture respawns its prey while the old cell still counts as occupied).
+IMPOSSIBLE = {
+    "unknown type": ("wolfpack", pool_edit("train", ["wolf.H5"])),
+    "lbf type on wolfpack": ("wolfpack", pool_edit("train", ["lbf.H1"])),
+    "wolfpack type at eval on lbf": ("lbf", pool_edit("eval", ["lbf.H3", "wolf.H2"])),
+    "width 0": ("wolfpack", lambda d: d["environment"].update(width=0)),
+    "height 0": ("lbf", lambda d: d["environment"].update(height=0)),
+    "horizon 0": ("lbf", lambda d: d["environment"].update(horizon=0)),
+    "negative prey": ("wolfpack", lambda d: d["environment"].update(prey_count=-1)),
+    "negative objects": ("lbf", lambda d: d["environment"].update(n_objects=-1)),
+    "full wolfpack grid": ("wolfpack", grid_edit(2, 2, 2, prey_count=2)),
+    "lbf grid one cell short": ("lbf", grid_edit(2, 2, 2, n_objects=3)),
+}
+# The tightest grids that load, one per env.
+TIGHTEST = {"wolfpack": grid_edit(2, 2, 2, prey_count=1), "lbf": grid_edit(2, 2, 2, n_objects=2)}
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = tiny_cfg()
@@ -253,6 +290,27 @@ class TestConfig:
         NOT_OBJECTS[where](data)
         with pytest.raises(ConfigError, match=f"section '{where}' must be a JSON object"):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("case", list(IMPOSSIBLE))
+    def test_impossible_runs_rejected(self, case, tmp_path):
+        env, edit = IMPOSSIBLE[case]
+        data = config_to_dict(default_config(env))
+        edit(data)
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("env", list(TIGHTEST))
+    def test_tightest_grid_runs(self, env):
+        data = config_to_dict(tiny_cfg(env=env))
+        TIGHTEST[env](data)
+        trainer = Trainer(config_from_dict(data))
+        for _ in range(100):
+            trainer.run_iteration()
+        assert trainer.global_step == 200
 
     def test_team_pad_binds_only_the_padded_baselines(self):
         for algorithm in ("QL", "QL-AM"):

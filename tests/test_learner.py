@@ -113,7 +113,7 @@ class TestPreprocess:
 
         obs2 = obs_for([0, 1, 2, 4, 5])
         preprocess(obs2, store, [3], [4, 5])
-        assert store.ids["value"] == [0, 1, 2, 4, 5]
+        assert store.ids == [0, 1, 2, 4, 5]
         h, c = store.h["value"], store.c["value"]
         assert (h[:3].tobytes(), c[:3].tobytes()) == kept  # surviving rows untouched
         assert np.all(h[3:] == 0) and np.all(c[3:] == 0)
@@ -126,7 +126,7 @@ class TestPreprocess:
         preprocess(obs, store, [], [])
         for which, (h, c) in before.items():
             assert store.h[which] is h and store.c[which] is c  # no gather, no copy
-            assert store.ids[which] == [0, 7]
+            assert store.ids == [0, 7]
 
     def test_episode_end_resets_everything(self):
         store = EmbeddingStore(3)
@@ -137,7 +137,7 @@ class TestPreprocess:
         new_obs = obs_for([0, 9])
         preprocess(new_obs, store, [0, 1], [0, 9])
         for which in ("value", "model", "target"):
-            assert store.ids[which] == [0, 9]
+            assert store.ids == [0, 9]
             assert store.h[which].shape == store.c[which].shape == (2, 3)
             assert np.all(store.h[which] == 0) and np.all(store.c[which] == 0)
 
@@ -180,7 +180,7 @@ class TestPreprocess:
         preprocess(SimpleNamespace(order=order), store, departures, arrivals)
         fresh = [r for r, j in enumerate(order) if j in arrivals]
         for which, rows in reference.items():
-            assert store.ids[which] == list(rows) == order
+            assert store.ids == list(rows) == order
             for got, k in ((store.h[which], 0), (store.c[which], 1)):
                 want = np.array([pair[k] for pair in rows.values()]).reshape(-1, dim)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -198,7 +198,7 @@ class TestPreprocess:
         obs = obs_for([0, 4, 2])
         preprocess(obs, store, [], [0, 4, 2])
         batch = Teams([obs]).rows
-        assert store.ids["value"] == [0, 4, 2]
+        assert store.ids == [0, 4, 2]
         expect = np.stack([np.concatenate([obs.x[j], obs.u]) for j in (0, 4, 2)])
         assert np.array_equal(batch, expect)
 

@@ -78,4 +78,4 @@ class TestFingerprint:
         row = re.compile(r"\| (\S+) \| (\S+) \| ([0-9a-f]{64}) \| ([0-9a-f]{64}) \|")
         rows = [m and m.groups()[:2] for m in map(row.fullmatch, lines[3:])]
         grid = [(a, e) for a in ("GPL-Q", "GPL-SPI", "QL", "QL-AM") for e in ("wolfpack", "lbf")]
-        assert rows == grid
+        assert rows == grid + [("supervised", "wolfpack"), ("supervised", "lbf")]

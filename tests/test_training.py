@@ -33,7 +33,6 @@ from openteam.learner.trainer import (
     heldout_nll,
     init_params,
     mean_ci,
-    supervised_steps,
     train,
     train_agent_model_supervised,
     window_loss,
@@ -155,20 +154,36 @@ class TestTrainLoop:
         second = trainer.window_stats()
         assert second["episodes"] == 0 and second["mean_return"] is None
 
-    @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
-    def test_one_probe_session_per_trainer_and_none_per_policy(self, algorithm, monkeypatch):
-        # The env widths are read once per build, off one probe session; a
-        # policy reads the action count off the value net it is given.
+    @staticmethod
+    def count_probes(monkeypatch):
         probes = []
         make = model_module.make_session
         monkeypatch.setattr(model_module, "make_session", lambda *a: probes.append(a) or make(*a))
+        return probes
+
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI"])
+    def test_one_probe_session_per_trainer_and_none_per_policy(self, algorithm, monkeypatch):
+        # The env widths are read once per build, off one probe session; a
+        # GPL policy reads nothing off the env.
+        probes = self.count_probes(monkeypatch)
         cfg = tiny_cfg(algorithm)
         trainer = Trainer(cfg)
         assert len(probes) == 1
-        policy = GplPolicy(cfg, trainer.value_params, trainer.model_params, np.random.default_rng(0))
+        GplPolicy(cfg, trainer.value_params, trainer.model_params, np.random.default_rng(0))
         assert len(probes) == 1
-        if algorithm in ("QL", "QL-AM"):
-            assert policy.step.action_count == trainer.step.action_count == env_dims(cfg)[2]
+
+    @pytest.mark.parametrize("algorithm", ["QL", "QL-AM"])
+    def test_baselines_read_the_action_count_off_the_env(self, algorithm, monkeypatch):
+        # A baseline's step reads the env's action count off a probe session
+        # of its own: one more probe per trainer (after the widths) and one
+        # per policy.
+        probes = self.count_probes(monkeypatch)
+        cfg = tiny_cfg(algorithm)
+        trainer = Trainer(cfg)
+        assert len(probes) == 2
+        policy = GplPolicy(cfg, trainer.value_params, trainer.model_params, np.random.default_rng(0))
+        assert len(probes) == 3
+        assert policy.step.action_count == trainer.step.action_count == env_dims(cfg)[2]
 
     @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
     def test_init_params_builds_the_trainer_stores(self, algorithm):
@@ -302,7 +317,7 @@ class TestSharedForward:
             teams, probs = trainer_module.model_pass(model, slots, write=True)
             qbars, _ = trainer.step.values(value, slots, teams, probs, "value")
             states = [
-                (store.ids[which], store.h[which].tobytes(), store.c[which].tobytes())
+                (store.ids, store.h[which].tobytes(), store.c[which].tobytes())
                 for store in (slot.store for slot in slots)
                 for which in ("value", "model")
             ]
@@ -379,7 +394,7 @@ class TestBatchedAgentModel:
             written = copy.deepcopy(store)
             if not res.done:
                 preprocess(res.obs, written, res.departures, res.arrivals)
-            assert slot.store.ids["model"] == written.ids["model"]
+            assert slot.store.ids == written.ids
             for got, want_rows in ((slot.store.h, written.h), (slot.store.c, written.c)):
                 assert got["model"].shape == want_rows["model"].shape
                 assert np.max(np.abs(got["model"] - want_rows["model"])) <= 1e-12
@@ -394,7 +409,7 @@ class TestBatchedAgentModel:
         # distributions as advancing a copy of each store one step ahead.
         assert target_model is trainer.model_params.arrays
         for slot, store in zip(trainer.slots, before):
-            assert slot.store.ids["model"] == store.ids["model"]
+            assert slot.store.ids == store.ids
             assert np.array_equal(slot.store.h["model"], store.h["model"])
             assert np.array_equal(slot.store.c["model"], store.c["model"])
         live = [e for e, res in enumerate(results) if not res.done]
@@ -425,21 +440,33 @@ class TestStoresFollowTheRoster:
     }
 
     def assert_store_follows(self, algorithm, slot):
-        # Roster maps list the roster in order; the baselines' value and
-        # target maps hold the learner's row alone, and QL, which has no
-        # agent model, leaves its model map empty.
+        # The store lists the roster in order, and its roster maps have one
+        # row per agent of it; the baselines' value and target maps hold the
+        # learner's row alone, and QL, which has no agent model, leaves its
+        # model map empty.
         store, obs = slot.store, slot.obs
         assert isinstance(store, EmbeddingStore)
         assert store.roster_maps == self.ROSTER_MAPS[algorithm]
+        assert store.ids == obs.order
         for which in ("value", "model", "target"):
             if which in store.roster_maps:
-                want = obs.order
+                rows = len(obs.order)
             elif which == "model":
-                want = []
+                rows = 0
             else:
-                want = [obs.learner_id]
-            assert store.ids[which] == want
-            assert store.h[which].shape == store.c[which].shape == (len(want), store.dim)
+                rows = 1
+            assert store.h[which].shape == store.c[which].shape == (rows, store.dim)
+
+    @staticmethod
+    def learner_row(store, which, learner_id):
+        # The learner's (h, c) row of map `which`, None when it has none.
+        if which in store.roster_maps:
+            row = store.ids.index(learner_id)
+        elif len(store.h[which]):
+            row = 0
+        else:
+            return None
+        return store.h[which][row], store.c[which][row]
 
     @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL-AM", "QL"])
     def test_trainer_stores(self, algorithm):
@@ -455,10 +482,9 @@ class TestStoresFollowTheRoster:
                 self.assert_store_follows(algorithm, slot)
                 store = slot.store
                 for which in ("value", "model", "target"):
-                    if slot.obs.learner_id in store.ids[which]:
-                        row = store.ids[which].index(slot.obs.learner_id)
-                        if np.any(store.h[which][row] != 0) and np.any(store.c[which][row] != 0):
-                            advanced.add(which)
+                    row = self.learner_row(store, which, slot.obs.learner_id)
+                    if row is not None and np.any(row[0] != 0) and np.any(row[1] != 0):
+                        advanced.add(which)
         assert changes >= 10
         used = {"value", "target"} if algorithm == "QL" else {"value", "model", "target"}
         assert advanced == used
@@ -549,36 +575,86 @@ class TestSupervisedWindows:
 
     def setup_method(self):
         self.cfg = tiny_cfg()
-        self.steps = supervised_steps(collect_transitions(self.cfg, steps=60, seed=3))
+        self.episodes = collect_transitions(self.cfg, steps=60, seed=3)
         # A target whose acting teammate is on the roster for the whole window.
         self.target = next(
             (e, t)
-            for e, episode in enumerate(self.steps)
+            for e, episode in enumerate(self.episodes)
             for t in range(self.WINDOW, len(episode))
             if any(
-                all(episode[t][1][r] in episode[s][1] for s in range(t - self.WINDOW, t))
-                for r in episode[t][2]
+                all(j in episode[s][0].order for s in range(t - self.WINDOW, t))
+                for j in episode[t][0].order
+                if j != episode[t][0].learner_id
             )
         )
 
-    def input_gradient(self, back):
-        """Gradient of the target's window loss w.r.t. the input rows `back`
-        steps before the target (None when no gradient reaches them)."""
-        tape = Tape()
-        params = init_model_net(6, 5, self.cfg.net, np.random.default_rng(0)).bind(tape)
-        e, t = self.target
-        x, ids, rows, actions = self.steps[e][t - back]
-        leaf = tape.leaf(x)
-        self.steps[e][t - back] = (leaf, ids, rows, actions)
-        loss = window_loss(params, self.steps, [self.target], self.WINDOW, self.cfg.net.embedding_dim)
-        return backward(loss).get(leaf.tid)
+    def loss_bytes(self, back=None):
+        """Bytes of the target's window loss, with the observation `back`
+        steps before the target shifted (when given)."""
+        params = init_model_net(6, 5, self.cfg.net, np.random.default_rng(0)).bind(Tape())
+        episodes = [list(episode) for episode in self.episodes]
+        if back is not None:
+            e, t = self.target
+            obs, res = episodes[e][t - back]
+            episodes[e][t - back] = (replace(obs, u=obs.u + 1.0), res)
+        loss = window_loss(params, episodes, [self.target], self.WINDOW, self.cfg.net.embedding_dim)
+        return T.raw(loss).tobytes()
 
     def test_loss_reaches_first_step_of_window(self):
-        grad = self.input_gradient(self.WINDOW - 1)
-        assert grad is not None and np.abs(grad).max() > 0
+        assert self.loss_bytes(self.WINDOW - 1) != self.loss_bytes()
 
     def test_window_starts_from_zero_state(self):
-        assert self.input_gradient(self.WINDOW) is None
+        assert self.loss_bytes(self.WINDOW) == self.loss_bytes()
+
+    def test_windows_that_all_start_later(self):
+        # Targets at an episode's first steps: no window is live at the
+        # window's earlier steps, and a window that reaches back before the
+        # episode gives the loss of one that starts at it.
+        net = init_model_net(6, 5, self.cfg.net, np.random.default_rng(0))
+        dim = self.cfg.net.embedding_dim
+        starts = [(e, t) for e in range(len(self.episodes)) for t in (0, 1)]
+        starts = [(e, t) for e, t in starts if len(self.episodes[e][t][0].order) > 1]
+        assert starts
+        for target in starts:
+            losses = [
+                T.raw(window_loss(net.bind(Tape()), self.episodes, [target], w, dim)).tobytes()
+                for w in (target[1] + 1, self.WINDOW)
+            ]
+            assert losses[0] == losses[1]
+
+    @pytest.mark.parametrize("env", ["wolfpack", "lbf"])
+    def test_matches_the_hand_built_reference(self, env, reference_forms):
+        # Loss and gradient bytes against the reference's hand-built rows,
+        # over shuffled target batches whose windows hold arrivals,
+        # departures and episode starts.
+        cfg, window = tiny_cfg(env=env), self.WINDOW
+        episodes = collect_transitions(cfg, steps=200, seed=5)
+        steps = reference_forms.supervised_steps(episodes)
+        targets = [
+            (e, t)
+            for e, episode in enumerate(episodes)
+            for t, (obs, _) in enumerate(episode)
+            if len(obs.order) > 1
+        ]
+        x_len, u_len, action_count = env_dims(cfg)
+        params = init_model_net(x_len + u_len, action_count, cfg.net, np.random.default_rng(1))
+        order = np.random.default_rng(0).permutation(len(targets))
+        covered = set()
+        for lo in range(0, len(order), 16):
+            batch = [targets[i] for i in order[lo : lo + 16]]
+            for e, t in batch:
+                for _, res in episodes[e][max(0, t - window + 1) : t]:
+                    covered |= {kind for kind in ("arrivals", "departures") if getattr(res, kind)}
+                if t < window - 1:
+                    covered.add("episode start")
+            runs = []
+            for loss_fn, data in ((window_loss, episodes), (reference_forms.window_loss, steps)):
+                bound = params.bind(Tape())
+                loss = loss_fn(bound, data, batch, window, cfg.net.embedding_dim)
+                grads = params.accumulate(None, bound, backward(loss))
+                runs.append((T.raw(loss).tobytes(), grads.tobytes()))
+            assert runs[0] == runs[1]
+        assert covered == {"arrivals", "departures", "episode start"}
 
     @pytest.mark.parametrize("env", ["wolfpack", "lbf"])
     def test_action_count_comes_from_environment(self, env):

@@ -6,6 +6,10 @@ Prints one SHA-256 per (algorithm, env) over the checkpoints and
 every learner action taken in that evaluation (plus, for GPL, the pairwise
 analysis). The actions count because a briefly trained learner often
 scores zero in every episode, which leaves the record blind to behaviour.
+One more row per env covers the supervised agent-model fit: the SHA-256 of
+the parameters fitted (one epoch, window 4) on all but the last two
+episodes of a 2,000-step random-learner collection, and of their
+``heldout_nll`` on those two.
 A refactor that claims unchanged behaviour must print the same table
 before and after.
 
@@ -35,6 +39,11 @@ from openteam.config import default_config  # noqa: E402
 from openteam.envs.session import OpenEnv  # noqa: E402
 from openteam.harness.analyze import analyze_pairwise  # noqa: E402
 from openteam.harness.run import evaluate, run_training  # noqa: E402
+from openteam.learner.trainer import (  # noqa: E402
+    collect_transitions,
+    heldout_nll,
+    train_agent_model_supervised,
+)
 
 ALGORITHMS = ("GPL-Q", "GPL-SPI", "QL", "QL-AM")
 ENVS = ("wolfpack", "lbf")
@@ -67,6 +76,15 @@ def fingerprint(algorithm, env, steps, every, work):
     return train.hexdigest(), evaluation.hexdigest()
 
 
+def fingerprint_supervised(env):
+    cfg = default_config(env, "GPL-Q")
+    episodes = collect_transitions(cfg, steps=2000, seed=0)
+    params = train_agent_model_supervised(cfg, episodes[:-2], seed=0, epochs=1, window=4)
+    nll = heldout_nll(params, cfg, episodes[-2:])
+    fit = hashlib.sha256(params.vector.tobytes()).hexdigest()
+    return fit, hashlib.sha256(repr(nll).encode()).hexdigest()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--steps", type=int, default=1600)
@@ -81,6 +99,9 @@ def main():
             for env in ENVS:
                 train, evaluation = fingerprint(algorithm, env, args.steps, args.every, Path(tmp))
                 print(f"| {algorithm} | {env} | {train} | {evaluation} |", flush=True)
+    for env in ENVS:
+        fit, nll = fingerprint_supervised(env)
+        print(f"| supervised | {env} | {fit} | {nll} |", flush=True)
 
 
 if __name__ == "__main__":
