@@ -17,6 +17,7 @@ from .teammates import LBF_TYPES, WOLF_TYPES
 
 GPL_ALGORITHMS = ("GPL-Q", "GPL-SPI")
 ALGORITHMS = (*GPL_ALGORITHMS, "QL", "QL-AM")
+ENVS = ("wolfpack", "lbf")
 
 
 class ConfigError(ValueError):
@@ -87,6 +88,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        if self.env.name not in ENVS:
+            raise ConfigError(f"unknown environment {self.env.name!r}")
         self.net.validate()
         self.epsilon.validate()
         try:

@@ -9,10 +9,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from .. import nn
 from ..config import ConfigError, RunConfig, config_from_dict, config_to_dict
 from ..envs.session import make_session
 from ..learner.model import env_dims
-from ..learner.trainer import GplPolicy, init_params, mean_ci, train
+from ..learner.trainer import GplPolicy, mean_ci, param_layouts, train
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, shape_diff
 from .cli import blas_threads
 from .metrics import MetricRecord, append_record
@@ -58,10 +59,10 @@ def run_training(cfg: RunConfig, out_dir) -> str:
 
 
 def _check_compatible(cfg: RunConfig, stores: dict):
-    value, model = init_params(cfg, np.random.default_rng(0), env_dims(cfg))
-    expected = {"value": value.shapes()}
+    value, model = param_layouts(cfg, env_dims(cfg))
+    expected = {"value": nn.layout_shapes(value)}
     if model is not None:
-        expected["agent_model"] = model.shapes()
+        expected["agent_model"] = nn.layout_shapes(model)
     problems = []
     for name, shapes in expected.items():
         if name not in stores:

@@ -26,7 +26,7 @@ import numpy as np
 from .. import nn
 from .. import tensor as T
 from ..config import RunConfig
-from .model import EmbeddingStore, embed_rows, init_embedding, preprocess, stacked
+from .model import EmbeddingStore, embed_rows, embedding_layout, preprocess, stacked
 from .values import one_hot
 
 
@@ -107,14 +107,19 @@ def padded_rows(obs_list, slot_maps, width, teams=None, probs=None) -> np.ndarra
     return np.stack(rows)
 
 
+def baseline_net_layout(input_len, action_count, net_cfg) -> dict:
+    """Parameter layout (`nn.draw`) of a padded-input network: type
+    embedding plus action-value head."""
+    return {
+        **embedding_layout(input_len, net_cfg.embedding_dim),
+        **nn.mlp_layout(
+            [net_cfg.embedding_dim, *net_cfg.utility_hidden, action_count], prefix="head."
+        ),
+    }
+
+
 def init_baseline_net(input_len, action_count, net_cfg, rng) -> nn.ParamStore:
-    values = {}
-    init_embedding(input_len, net_cfg.embedding_dim, rng, values)
-    head = nn.init_mlp(
-        [net_cfg.embedding_dim, *net_cfg.utility_hidden, action_count], rng, prefix="head."
-    )
-    values.update(head.arrays)
-    return nn.ParamStore(values)
+    return nn.draw(baseline_net_layout(input_len, action_count, net_cfg), rng)
 
 
 def ql_baseline_forward(params, padded, state):

@@ -130,33 +130,40 @@ def agent_model_forward(params, teams: Teams, state):
     return hm, cm, probs
 
 
-def init_embedding(in_dim, width, rng, values, prefix="embed."):
-    values.update(nn.init_mlp([in_dim, width, width], rng, prefix=f"{prefix}fc.").arrays)
-    values.update(nn.init_lstm(width, width, rng, prefix=f"{prefix}lstm.").arrays)
+def embedding_layout(in_dim, width, prefix="embed.") -> dict:
+    """Parameter layout (`nn.draw`) of the type embedding: two FC layers
+    then an LSTM cell."""
+    return {
+        **nn.mlp_layout([in_dim, width, width], prefix=f"{prefix}fc."),
+        **nn.lstm_layout(width, width, prefix=f"{prefix}lstm."),
+    }
+
+
+def value_net_layout(in_dim, action_count, net_cfg) -> dict:
+    """Type embedding plus singular/pairwise utility heads."""
+    layout = embedding_layout(in_dim, net_cfg.embedding_dim)
+    pair_in = 2 * net_cfg.embedding_dim
+    for prefix, width in (("sing.", action_count), ("fac.", net_cfg.rank * action_count)):
+        layout.update(nn.mlp_layout([pair_in, *net_cfg.utility_hidden, width], prefix=prefix))
+    return layout
+
+
+def model_net_layout(in_dim, action_count, net_cfg) -> dict:
+    """Type embedding plus message-passing block and action decoder."""
+    return {
+        **embedding_layout(in_dim, net_cfg.embedding_dim),
+        **nn.graph_block_layout(
+            net_cfg.embedding_dim, net_cfg.edge_hidden, net_cfg.node_hidden, prefix="graph."
+        ),
+        **nn.mlp_layout(
+            [net_cfg.node_hidden[-1], *net_cfg.decoder_hidden, action_count], prefix="dec."
+        ),
+    }
 
 
 def init_value_net(in_dim, action_count, net_cfg, rng) -> nn.ParamStore:
-    """Type embedding plus singular/pairwise utility heads."""
-    values = {}
-    init_embedding(in_dim, net_cfg.embedding_dim, rng, values)
-    pair_in = 2 * net_cfg.embedding_dim
-    for prefix, width in (("sing.", action_count), ("fac.", net_cfg.rank * action_count)):
-        values.update(
-            nn.init_mlp([pair_in, *net_cfg.utility_hidden, width], rng, prefix=prefix).arrays
-        )
-    return nn.ParamStore(values)
+    return nn.draw(value_net_layout(in_dim, action_count, net_cfg), rng)
 
 
 def init_model_net(in_dim, action_count, net_cfg, rng) -> nn.ParamStore:
-    """Type embedding plus message-passing block and action decoder."""
-    values = {}
-    init_embedding(in_dim, net_cfg.embedding_dim, rng, values)
-    graph = nn.init_graph_block(
-        net_cfg.embedding_dim, net_cfg.edge_hidden, net_cfg.node_hidden, rng
-    )
-    values.update({"graph." + name: a for name, a in graph.arrays.items()})
-    dec = nn.init_mlp(
-        [net_cfg.node_hidden[-1], *net_cfg.decoder_hidden, action_count], rng, prefix="dec."
-    )
-    values.update(dec.arrays)
-    return nn.ParamStore(values)
+    return nn.draw(model_net_layout(in_dim, action_count, net_cfg), rng)

@@ -6,11 +6,17 @@ finished episodes, runs the agent model once per pathway over the stacked
 rosters of all environments (`model_pass`) and builds the TD targets. It
 turns the value of the actions taken, their targets and the teammate-action
 NLL (`teammate_nll`) into losses, accumulates their gradients over a
-configured number of iterations (one vector per parameter store) and
-applies them with Adam, after checking that the losses and gradients are
-finite; the value-side target copy tracks the online parameters by Polyak
-averaging every iteration. It also keeps the episode returns and learning
-signals of the metric window.
+configured number of iterations and applies them with Adam, after checking
+that the losses and gradients are finite; the value-side target copy tracks
+the online parameters by Polyak averaging every iteration. It also keeps the
+episode returns and learning signals of the metric window.
+
+Every update is made in place, in buffers the trainer allocates once: one
+vector per parameter store (value, agent model, target), the two Adam
+moments and the gradient sum of each trained store (`Fit`), and one scratch
+vector. The trainer's stores are read-only views of those vectors, so they
+change with every update; `Trainer.stores` hands out copies, which never
+change.
 
 The algorithms differ only in their value side, a step object: `GplStep`
 for the coordination-graph learner (GPL-Q / GPL-SPI), `baseline.PaddedStep`
@@ -50,7 +56,7 @@ from .. import tensor as T
 from ..config import GPL_ALGORITHMS, RunConfig
 from ..envs.session import make_session
 from ..tensor import Tape, Tensor, backward
-from .baseline import PaddedStep, SlotMap, init_baseline_net, padded_input_len
+from .baseline import PaddedStep, SlotMap, baseline_net_layout, padded_input_len
 from .model import (
     EmbeddingStore,
     Teams,
@@ -58,10 +64,11 @@ from .model import (
     embed_rows,
     env_dims,
     init_model_net,
-    init_value_net,
+    model_net_layout,
     preprocess,
     roster_gather,
     stacked,
+    value_net_layout,
 )
 from .values import (
     UtilityTables,
@@ -87,18 +94,54 @@ class TrainResult:
     records: list
 
 
-def init_params(cfg: RunConfig, rng, dims):
-    """Initial (value, agent model) parameters of the configured algorithm,
-    drawn from `rng` in that order, for the env widths `dims` (`env_dims`);
-    QL has no agent model (None)."""
+def param_layouts(cfg: RunConfig, dims):
+    """(value, agent model) parameter layouts (`nn.draw`) of the configured
+    algorithm for the env widths `dims` (`env_dims`); QL has no agent model
+    (None)."""
     x_len, u_len, action_count = dims
     if cfg.algorithm in GPL_ALGORITHMS:
-        value = init_value_net(x_len + u_len, action_count, cfg.net, rng)
+        value = value_net_layout(x_len + u_len, action_count, cfg.net)
     else:
-        value = init_baseline_net(padded_input_len(cfg, dims), action_count, cfg.net, rng)
+        value = baseline_net_layout(padded_input_len(cfg, dims), action_count, cfg.net)
     if cfg.algorithm == "QL":
         return value, None
-    return value, init_model_net(x_len + u_len, action_count, cfg.net, rng)
+    return value, model_net_layout(x_len + u_len, action_count, cfg.net)
+
+
+def init_params(cfg: RunConfig, rng, dims):
+    """Initial (value, agent model) parameters of `param_layouts`, drawn from
+    `rng` in that order."""
+    return tuple(None if lay is None else nn.draw(lay, rng) for lay in param_layouts(cfg, dims))
+
+
+class Fit:
+    """A trained parameter store and the buffers that update it in place:
+    its writable vector, of which `params` is a read-only view, its Adam
+    moments (`opt`) and its gradient sum."""
+
+    def __init__(self, store: nn.ParamStore, lr: float):
+        self.vector = store.vector.copy()
+        self.params = store.with_vector(self.vector[:])
+        self.opt = nn.AdamState(self.vector.size, lr=lr)
+        self.grad_sum = np.empty(self.vector.size)
+        self.summed = False  # whether grad_sum holds gradients not yet applied
+
+    def accumulate(self, leaves, grads):
+        """Add the gradients of `leaves` (`params.bind`) in `grads`."""
+        self.params.accumulate(self.grad_sum, leaves, grads, fresh=not self.summed)
+        self.summed = True
+
+    def adam_step(self, scratch):
+        """Apply the summed gradients, if any, and start a new sum; `scratch`
+        is at least as long as the vector."""
+        if self.summed:
+            nn.adam_step(self.vector, self.grad_sum, self.opt, scratch[: self.vector.size])
+            self.summed = False
+
+
+def copy_store(store: nn.ParamStore) -> nn.ParamStore:
+    """A store over a copy of `store`'s vector."""
+    return store.with_vector(store.vector.copy())
 
 
 def mean_ci(returns):
@@ -227,9 +270,7 @@ class Trainer:
         # leave child 3 unused) is historical and kept so that runs reproduce.
         k = 3 if cfg.algorithm in GPL_ALGORITHMS else 4
         seeds = np.random.SeedSequence(cfg.seed).spawn(k + cfg.parallel_envs)
-        self.value_params, self.model_params = init_params(
-            cfg, np.random.default_rng(seeds[0]), env_dims(cfg)
-        )
+        value, model = init_params(cfg, np.random.default_rng(seeds[0]), env_dims(cfg))
         self.learner_rng = np.random.default_rng(seeds[1])
         self.step = make_step(cfg, np.random.default_rng(seeds[2]))
         self.slots = []
@@ -237,25 +278,31 @@ class Trainer:
             slot = _Slot(make_session(cfg.env, cfg.openness_train, np.random.default_rng(seed)))
             self.step.begin(slot, slot.session.reset())
             self.slots.append(slot)
-        self.target_params = self.value_params
-        self.opt_value = nn.AdamState(lr=cfg.lr)
-        self.opt_model = nn.AdamState(lr=cfg.lr)
-        # Gradient sums in each store's layout; None until a loss reaches it.
-        self.acc_value = None
-        self.acc_model = None
+        # The buffers every update writes in place (see the module
+        # docstring); the three stores over them stay the same objects.
+        self.value_fit = Fit(value, cfg.lr)
+        self.model_fit = None if model is None else Fit(model, cfg.lr)
+        self.target = value.vector.copy()
+        self.scratch = np.empty(max(value.vector.size, 0 if model is None else model.vector.size))
+        self.value_params = self.value_fit.params
+        self.model_params = None if model is None else self.model_fit.params
+        self.target_params = value.with_vector(self.target[:])
         self.global_step = 0
         self.iteration = 0
         self.episode_returns = [0.0] * cfg.parallel_envs
         self._clear_window()
 
     def stores(self) -> dict:
-        # The step fixes the order, and with it the checkpoint byte layout.
+        """Copies of the stores, by name, which keep their bytes while
+        training goes on. The step fixes the order, and with it the
+        checkpoint byte layout."""
         named = {
             "value": self.value_params,
             "agent_model": self.model_params,
             "target_value": self.target_params,
         }
-        return {name: named[name] for name in self.step.store_order if named[name] is not None}
+        order = [name for name in self.step.store_order if named[name] is not None]
+        return {name: copy_store(named[name]) for name in order}
 
     def _clear_window(self):
         self.window_returns: list[float] = []
@@ -344,29 +391,22 @@ class Trainer:
 
         scale = 1.0 / (len(results) * cfg.update_interval)
         v_loss = T.scalar_mul(value_loss(taken, targets), scale)
-        self.acc_value = self.value_params.accumulate(self.acc_value, value, backward(v_loss))
+        self.value_fit.accumulate(value, backward(v_loss))
         losses = [v_loss]
         if nll is not None:
             m_loss = T.scalar_mul(nll, scale)
-            self.acc_model = self.model_params.accumulate(self.acc_model, model, backward(m_loss))
+            self.model_fit.accumulate(model, backward(m_loss))
             losses.append(m_loss)
 
         self.iteration += 1
         self.global_step += len(results)
         if self.iteration % cfg.update_interval == 0:
             self._check_finite(losses)
-            self.value_params, self.opt_value = nn.adam_step(
-                self.value_params, self.acc_value, self.opt_value
-            )
-            if self.acc_model is not None:
-                self.model_params, self.opt_model = nn.adam_step(
-                    self.model_params, self.acc_model, self.opt_model
-                )
-            self.acc_value = None
-            self.acc_model = None
-        self.target_params = nn.polyak_update(
-            self.target_params, self.value_params, cfg.polyak_alpha
-        )
+            self.value_fit.adam_step(self.scratch)
+            if self.model_fit is not None:
+                self.model_fit.adam_step(self.scratch)
+        scratch = self.scratch[: self.target.size]
+        nn.polyak_update(self.target, self.value_fit.vector, cfg.polyak_alpha, scratch)
 
         for e, (slot, res) in enumerate(zip(self.slots, results)):
             self.episode_returns[e] += res.reward
@@ -382,10 +422,10 @@ class Trainer:
         step = self.global_step
         if not np.isfinite([float(loss.data) for loss in losses]).all():
             raise ValueError(f"non-finite loss at global step {step}")
-        for name, acc in (("value", self.acc_value), ("agent_model", self.acc_model)):
-            finite = np.isfinite(acc if acc is not None else ())
+        for name, fit in (("value", self.value_fit), ("agent_model", self.model_fit)):
+            finite = np.isfinite(fit.grad_sum if fit is not None and fit.summed else ())
             if not finite.all():
-                bad = self.stores()[name].name_at(int(np.argmin(finite)))
+                bad = fit.params.name_at(int(np.argmin(finite)))
                 raise ValueError(
                     f"non-finite gradient at global step {step}: store {name!r}, parameter {bad!r}"
                 )
@@ -557,8 +597,8 @@ def train_agent_model_supervised(
     init_rng = np.random.default_rng(np.random.SeedSequence(seed))
     order_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     x_len, u_len, action_count = env_dims(cfg)
-    params = init_model_net(x_len + u_len, action_count, cfg.net, init_rng)
-    opt = nn.AdamState(lr=SUPERVISED_LR)
+    fit = Fit(init_model_net(x_len + u_len, action_count, cfg.net, init_rng), SUPERVISED_LR)
+    scratch = np.empty(fit.vector.size)
 
     targets = [
         (e, t)
@@ -573,10 +613,11 @@ def train_agent_model_supervised(
         order = order_rng.permutation(len(targets))
         for lo in range(0, len(order), SUPERVISED_GROUP):
             batch = [targets[i] for i in order[lo : lo + SUPERVISED_GROUP]]
-            bound = params.bind(Tape())
+            bound = fit.params.bind(Tape())
             grads = backward(window_loss(bound, episodes, batch, window, cfg.net.embedding_dim))
             ramp = min(1.0, (update + 1) / warmup)
-            opt.lr = SUPERVISED_LR * ramp * 0.5 * (1.0 + np.cos(np.pi * update / total))
-            params, opt = nn.adam_step(params, params.accumulate(None, bound, grads), opt)
+            fit.opt.lr = SUPERVISED_LR * ramp * 0.5 * (1.0 + np.cos(np.pi * update / total))
+            fit.accumulate(bound, grads)
+            fit.adam_step(scratch)
             update += 1
-    return params
+    return copy_store(fit.params)

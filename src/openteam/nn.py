@@ -1,11 +1,15 @@
 """Parameterized blocks: MLPs, an LSTM cell, a message-passing graph block.
 
 Parameters live in a :class:`ParamStore`: one read-only float64 vector and
-the layout that maps each name to its (offset, shape) in it. Stores are
-flat and functional: :func:`adam_step` and :func:`polyak_update` compute a
-whole store in one vector expression and return a new store over a new
-vector, so readers holding the old store never observe a half-applied
-update.
+the layout that maps each name to its (offset, shape) in it. A network is
+described by its parameter layout (name -> (shape, fan-in), see
+:func:`mlp_layout`), which gives its shapes without drawing anything, and
+:func:`draw` draws it straight into one vector. Training updates vectors in
+place: :func:`adam_step`, :func:`polyak_update` and
+:meth:`ParamStore.accumulate` write whole vectors with ``out=`` ufuncs into
+buffers their caller owns, so an update allocates nothing. Whoever owns such
+a buffer hands out copies, so a store handed out is a snapshot that never
+changes.
 
 The blocks take their parameters as any name -> value map: a store, the
 leaves of `ParamStore.bind` (the tape records the pass) or the plain arrays
@@ -15,7 +19,7 @@ of `ParamStore.arrays` (no tape, and plain arrays out).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,17 +100,16 @@ class ParamStore:
         """Leaf tensors on `tape` sharing this store's values, keyed by name."""
         return {name: tape.leaf(a) for name, a in self.arrays.items()}
 
-    def accumulate(self, acc, leaves, grads):
-        """`acc` (a vector in this layout, updated in place) plus the
-        gradients of `leaves` (this store's `bind`) found in `grads` (tape id
-        -> array, as `tensor.backward` returns them); with `acc` None, a new
-        vector of those gradients, zero where none reached."""
-        fresh = acc is None
-        acc = np.zeros(self.vector.size) if fresh else acc
+    def accumulate(self, acc, leaves, grads, fresh=False):
+        """Add to `acc` (a vector in this layout, updated in place and
+        returned) the gradients of `leaves` (this store's `bind`) found in
+        `grads` (tape id -> array, as `tensor.backward` returns them). With
+        `fresh`, what `acc` held is dropped: it ends up holding those
+        gradients, and zeros where none reached."""
         for leaf, view in zip(leaves.values(), self.views(acc).values()):
             g = grads.get(leaf.tid)
-            if g is not None and fresh:
-                view[...] = g
+            if fresh:
+                view[...] = 0.0 if g is None else g
             elif g is not None:
                 view += g
         return acc
@@ -126,37 +129,72 @@ def _uniform_fan_in(rng, fan_in, shape):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_mlp(sizes, rng, prefix="") -> ParamStore:
-    """Fully connected stack; weights U(-1/sqrt(fan_in), +1/sqrt(fan_in)), zero biases."""
+def mlp_layout(sizes, prefix="") -> dict:
+    """Parameter layout of a fully connected stack: name -> (shape, fan-in
+    of a weight, None for a bias)."""
     if len(sizes) < 2:
-        raise ValueError("init_mlp: need at least an input and an output size")
+        raise ValueError("mlp_layout: need at least an input and an output size")
     if any(s <= 0 for s in sizes):
-        raise ValueError(f"init_mlp: sizes must be positive, got {sizes}")
-    values = {}
+        raise ValueError(f"mlp_layout: sizes must be positive, got {sizes}")
+    layout = {}
     for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        values[f"{prefix}w{layer}"] = _uniform_fan_in(rng, fan_in, (fan_in, fan_out))
-        values[f"{prefix}b{layer}"] = np.zeros(fan_out)
-    return ParamStore(values)
+        layout[f"{prefix}w{layer}"] = ((fan_in, fan_out), fan_in)
+        layout[f"{prefix}b{layer}"] = ((fan_out,), None)
+    return layout
+
+
+def lstm_layout(input_size, hidden_size, prefix="") -> dict:
+    """Parameter layout of a single LSTM cell with one combined gate matrix
+    (order i, f, g, o)."""
+    if input_size <= 0 or hidden_size <= 0:
+        raise ValueError("lstm_layout: sizes must be positive")
+    fan_in = input_size + hidden_size
+    return {
+        f"{prefix}w": ((fan_in, 4 * hidden_size), fan_in),
+        f"{prefix}b": ((4 * hidden_size,), None),
+    }
+
+
+def graph_block_layout(node_dim, edge_sizes, node_sizes, prefix="") -> dict:
+    """Parameter layout of the edge and node MLPs of a fully connected
+    message-passing block."""
+    return {
+        **mlp_layout([2 * node_dim, *edge_sizes], prefix=f"{prefix}edge."),
+        **mlp_layout([node_dim + edge_sizes[-1], *node_sizes], prefix=f"{prefix}node."),
+    }
+
+
+def layout_shapes(layout) -> dict:
+    """Name -> shape of parameter layout `layout`."""
+    return {name: shape for name, (shape, _) in layout.items()}
+
+
+def draw(layout, rng) -> ParamStore:
+    """The store of parameter layout `layout`, drawn straight into its
+    vector: each weight U(-1/sqrt(fan_in), +1/sqrt(fan_in)) from `rng`, in
+    layout order, and zero biases."""
+    offsets, size = _layout_of(layout_shapes(layout))
+    vector = np.zeros(size)
+    for name, (shape, fan_in) in layout.items():
+        if fan_in is not None:
+            offset = offsets[name][0]
+            vector[offset : offset + math.prod(shape)] = _uniform_fan_in(rng, fan_in, shape).ravel()
+    return ParamStore.from_vector(layout_shapes(layout), vector)
+
+
+def init_mlp(sizes, rng, prefix="") -> ParamStore:
+    """Fully connected stack, drawn (`draw`)."""
+    return draw(mlp_layout(sizes, prefix), rng)
 
 
 def init_lstm(input_size, hidden_size, rng, prefix="") -> ParamStore:
-    """Single LSTM cell with one combined gate matrix (order i, f, g, o)."""
-    if input_size <= 0 or hidden_size <= 0:
-        raise ValueError("init_lstm: sizes must be positive")
-    fan_in = input_size + hidden_size
-    return ParamStore(
-        {
-            f"{prefix}w": _uniform_fan_in(rng, fan_in, (fan_in, 4 * hidden_size)),
-            f"{prefix}b": np.zeros(4 * hidden_size),
-        }
-    )
+    """Single LSTM cell, drawn (`draw`)."""
+    return draw(lstm_layout(input_size, hidden_size, prefix), rng)
 
 
 def init_graph_block(node_dim, edge_sizes, node_sizes, rng) -> ParamStore:
-    """Edge and node MLPs of a fully connected message-passing block."""
-    edge = init_mlp([2 * node_dim, *edge_sizes], rng, prefix="edge.")
-    node = init_mlp([node_dim + edge_sizes[-1], *node_sizes], rng, prefix="node.")
-    return ParamStore({**edge.arrays, **node.arrays})
+    """Edge and node MLPs of a message-passing block, drawn (`draw`)."""
+    return draw(graph_block_layout(node_dim, edge_sizes, node_sizes), rng)
 
 
 _ACTIVATIONS = {
@@ -294,42 +332,62 @@ def graph_block_grouped(params, nodes, groups, prefix=""):
 
 @dataclass
 class AdamState:
-    """Moments as two vectors in the store's layout (None before the first
-    step) plus the step counter."""
+    """Settings, step counter and moments of Adam on a vector of `size`
+    entries. The moments are two vectors in its layout that `adam_step`
+    writes in place."""
 
+    size: int
     lr: float = 2.5e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: np.ndarray = None
-    v: np.ndarray = None
+    m: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.m, self.v = np.zeros(self.size), np.zeros(self.size)
 
 
-def adam_step(params: ParamStore, grad, state: AdamState):
-    """One Adam update with bias correction of the whole store `params`.
+def adam_step(params, grad, state: AdamState, scratch):
+    """One Adam update with bias correction of the whole parameter vector
+    `params`, in place, with the moments of `state`.
 
-    `grad` is one vector in the store's layout (`ParamStore.accumulate`).
-    Every parameter takes part in every step: one that no loss reached has
-    a zero gradient there, so its moments decay and it still moves while
-    its first moment is non-zero (at the first step it stays put).
+    `grad` is the summed gradient in the same layout
+    (`ParamStore.accumulate`). Once the moments are updated it serves as
+    scratch space, so it holds no gradient afterwards; `scratch` is one more
+    vector of the same length. Every entry is computed as in
+    p - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps), operation by
+    operation, after m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g (at the
+    first step m = (1-b1)*g and v = (1-b2)*g*g). Every parameter takes part
+    in every step: one that no loss reached has a zero gradient there, so
+    its moments decay and it still moves while its first moment is non-zero
+    (at the first step it stays put).
     """
-    if grad.shape != params.vector.shape:
-        raise OpError(f"adam_step: gradient shape {grad.shape} != {params.vector.shape}")
-    b1, b2 = state.beta1, state.beta2
-    if state.m is None:
-        m, v = (1 - b1) * grad, (1 - b2) * grad * grad
+    if grad.shape != params.shape:
+        raise OpError(f"adam_step: gradient shape {grad.shape} != {params.shape}")
+    b1, b2, m, v = state.beta1, state.beta2, state.m, state.v
+    if state.step == 0:
+        np.multiply(1 - b1, grad, out=m)
+        np.multiply(np.multiply(1 - b2, grad, out=v), grad, out=v)
     else:
-        m, v = b1 * state.m + (1 - b1) * grad, b2 * state.v + (1 - b2) * grad * grad
-    t = state.step + 1
-    # The bias-corrected moments stay unnamed so numpy reuses their buffers;
-    # named, they kept two more store-sized vectors alive at the peak.
-    step = state.lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + state.eps)
-    return params.with_vector(params.vector - step), replace(state, step=t, m=m, v=v)
+        np.add(np.multiply(b1, m, out=m), np.multiply(1 - b1, grad, out=scratch), out=m)
+        g2 = np.multiply(np.multiply(1 - b2, grad, out=scratch), grad, out=scratch)
+        np.add(np.multiply(b2, v, out=v), g2, out=v)
+    state.step += 1
+    t = state.step
+    step = np.multiply(state.lr, np.divide(m, 1 - b1**t, out=scratch), out=scratch)
+    denom = np.add(np.sqrt(np.divide(v, 1 - b2**t, out=grad), out=grad), state.eps, out=grad)
+    np.subtract(params, np.divide(step, denom, out=scratch), out=params)
 
 
-def polyak_update(target: ParamStore, online: ParamStore, alpha: float) -> ParamStore:
-    """target' = (1 - alpha) * target + alpha * online, entry by entry."""
-    if target.layout != online.layout:
-        raise OpError("polyak_update: parameter layouts differ")
-    return target.with_vector((1.0 - alpha) * target.vector + alpha * online.vector)
+def polyak_update(target, online, alpha: float, scratch):
+    """target = (1 - alpha) * target + alpha * online, entry by entry, in
+    place on the vector `target`; `scratch` is a vector of the same length."""
+    if target.shape != online.shape:
+        raise OpError(f"polyak_update: vector shapes differ, {target.shape} != {online.shape}")
+    np.add(
+        np.multiply(1.0 - alpha, target, out=target),
+        np.multiply(alpha, online, out=scratch),
+        out=target,
+    )

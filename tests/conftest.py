@@ -5,8 +5,9 @@ cheaper or more general one: per-call neighbour lists, a team-aware plan
 rebuilt for every teammate, an any(...) scan for occupied targets, prey
 scores as a min over a generator of Chebyshev distances, a
 single-environment agent-model step, roster realignment on a dict of
-per-agent (h, c) rows, and the supervised window loss on hand-built
-per-step rows, groups, teammate rows and actions.
+per-agent (h, c) rows, the supervised window loss on hand-built
+per-step rows, groups, teammate rows and actions, and Adam and Polyak
+averaging as vector expressions that return new vectors.
 Tests compare the package against them, either directly or by patching them
 all in and replaying whole sessions. Tests reach them through the
 ``reference_forms`` fixture.
@@ -210,6 +211,21 @@ def ref_window_loss(params, steps, targets, window, dim):
     return T.scalar_mul(nll, 1.0 / len(picked_rows))
 
 
+def ref_adam_step(params, grad, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """(new parameters, new m, new v) after Adam step number `t` (from 1)
+    on the vector `params`; m and v are None at the first step."""
+    if m is None:
+        m, v = (1 - b1) * grad, (1 - b2) * grad * grad
+    else:
+        m, v = b1 * m + (1 - b1) * grad, b2 * v + (1 - b2) * grad * grad
+    update = lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+    return params - update, m, v
+
+
+def ref_polyak_update(target, online, alpha):
+    return (1.0 - alpha) * target + alpha * online
+
+
 def patch_reference_forms(mp: pytest.MonkeyPatch) -> None:
     """Route sessions, teammates and env steps through the reference forms."""
     mp.setattr(teammates, "neighbors4", ref_neighbors4)
@@ -230,5 +246,7 @@ def reference_forms():
         preprocess=ref_preprocess,
         supervised_steps=ref_supervised_steps,
         window_loss=ref_window_loss,
+        adam_step=ref_adam_step,
+        polyak_update=ref_polyak_update,
         patch=patch_reference_forms,
     )

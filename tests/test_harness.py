@@ -312,6 +312,23 @@ class TestConfig:
             trainer.run_iteration()
         assert trainer.global_step == 200
 
+    def test_unknown_environment_rejected(self):
+        # A config built in Python may name any environment; JSON configs
+        # are checked when they load (test_invalid_configs_rejected).
+        for env in ("wolfpack", "lbf"):
+            cfg = default_config(env)
+            chess = replace(cfg, env=replace(cfg.env, name="chess"))
+            with pytest.raises(ConfigError, match="unknown environment 'chess'"):
+                chess.validate()
+            with pytest.raises(ConfigError, match="unknown environment 'chess'"):
+                Trainer(chess)
+
+    def test_known_configs_load(self):
+        for env in ("wolfpack", "lbf"):
+            for algorithm in ("GPL-Q", "GPL-SPI", "QL", "QL-AM"):
+                assert default_config(env, algorithm).validate().env.name == env
+                assert tiny_cfg(algorithm, env).validate().env.name == env
+
     def test_team_pad_binds_only_the_padded_baselines(self):
         for algorithm in ("QL", "QL-AM"):
             with pytest.raises(ConfigError, match="padded input"):
@@ -364,8 +381,9 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("algorithm", ["GPL-Q", "QL-AM"])
     def test_saved_stores_do_not_change_while_training_goes_on(self, tmp_path, algorithm):
-        # Updates build new stores: the stores a checkpoint was written from
-        # still hold the checkpoint's bytes after more Adam and Polyak steps.
+        # Updates write the trainer's stores in place, and `stores()` hands
+        # out copies: the stores a checkpoint was written from still hold the
+        # checkpoint's bytes after more Adam and Polyak steps.
         trainer = Trainer(tiny_cfg(algorithm))
         for _ in range(3):
             trainer.run_iteration()
@@ -374,7 +392,7 @@ class TestCheckpoint:
         save_checkpoint(stores, path)
         for _ in range(8):
             trainer.run_iteration()
-        assert trainer.opt_value.step == 2
+        assert trainer.value_fit.opt.step == 2
         assert trainer.value_params.vector.tobytes() != stores["value"].vector.tobytes()
         loaded, _ = load_checkpoint(path)
         for name, store in stores.items():
@@ -556,6 +574,20 @@ class TestEvaluate:
         wider = replace(cfg, net=replace(cfg.net, embedding_dim=12)).validate()
         with pytest.raises(CheckpointError, match="expected"):
             evaluate(ckpt, wider, episodes=1, seed=0)
+
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
+    def test_compatibility_check_draws_no_weights(self, algorithm, monkeypatch):
+        cfg = tiny_cfg(algorithm)
+        stores = Trainer(cfg).stores()
+
+        def no_draw(*args):
+            raise AssertionError("drew a weight")
+
+        monkeypatch.setattr(nn, "_uniform_fan_in", no_draw)
+        run._check_compatible(cfg, stores)
+        wider = replace(cfg, net=replace(cfg.net, embedding_dim=12)).validate()
+        with pytest.raises(CheckpointError, match="expected"):
+            run._check_compatible(wider, stores)
 
     @pytest.mark.parametrize("algorithm", ["QL", "QL-AM"])
     def test_baseline_checkpoints_evaluate(self, tmp_path, algorithm):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,19 @@ class TestInit:
         store = nn.init_lstm(6, 10, np.random.default_rng(0))
         assert store["w"].data.shape == (16, 40)
         assert store["b"].data.shape == (40,)
+
+    def test_draw_follows_layout_order(self):
+        # Each weight is drawn in layout order, as separate per-block draws
+        # would; biases draw nothing.
+        layout = {**nn.mlp_layout([3, 4, 2], prefix="a."), **nn.lstm_layout(2, 3, prefix="b.")}
+        store = nn.draw(layout, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        parts = []
+        for name, (shape, fan_in) in layout.items():
+            bound = 1.0 / np.sqrt(fan_in) if fan_in else 0.0
+            parts.append(rng.uniform(-bound, bound, size=shape) if fan_in else np.zeros(shape))
+        assert store.shapes() == nn.layout_shapes(layout)
+        assert store.vector.tobytes() == np.concatenate([p.ravel() for p in parts]).tobytes()
 
 
 class TestMlpForward:
@@ -293,19 +308,28 @@ class TestParamStore:
         grads = T.backward(T.sum_all(out * out))
         named = {name: grads[leaf.tid] for name, leaf in leaves.items() if leaf.tid in grads}
         assert set(named) == {"w0", "b0", "w1"}
-        acc = store.accumulate(None, leaves, grads)
+        acc = np.full(store.vector.size, np.nan)  # a fresh sum drops what was there
+        assert store.accumulate(acc, leaves, grads, fresh=True) is acc
         assert acc.tobytes() == flat(store, named).tobytes()
         assert store.accumulate(acc, leaves, grads) is acc
         assert acc.tobytes() == flat(store, {n: g + g for n, g in named.items()}).tobytes()
+
+
+def adam(params, grads, state):
+    """`params` (a vector, updated in place and returned) after one Adam step
+    per gradient of `grads`, with fresh gradient-sum and scratch buffers."""
+    for grad in grads:
+        nn.adam_step(params, grad.copy(), state, np.empty(params.size))
+    return params
 
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         rng = np.random.default_rng(31)
         store = nn.init_mlp([3, 2], rng)
-        state = nn.AdamState(lr=0.01)
-        updated, state = nn.adam_step(store, flat(store, {}), state)
-        assert updated.vector.tobytes() == store.vector.tobytes()
+        state = nn.AdamState(store.vector.size, lr=0.01)
+        updated = adam(store.vector.copy(), [flat(store, {})], state)
+        assert updated.tobytes() == store.vector.tobytes()
         assert state.step == 1
 
     def test_first_step_magnitude_near_lr(self):
@@ -313,8 +337,8 @@ class TestAdam:
         # lr * g / (|g| + eps), a bias-corrected sign step.
         store = nn.ParamStore({"w": np.array([1.0, -1.0, 2.0])})
         grad = np.array([0.3, -0.7, 2.0])
-        updated, _ = nn.adam_step(store, grad, nn.AdamState(lr=0.01))
-        delta = updated["w"].data - store["w"].data
+        updated = adam(store.vector.copy(), [grad], nn.AdamState(3, lr=0.01))
+        delta = updated - store["w"].data
         assert np.allclose(np.abs(delta), 0.01, atol=1e-6)
         assert np.all(np.sign(delta) == -np.sign(grad))
 
@@ -324,10 +348,8 @@ class TestAdam:
         store = nn.ParamStore({"w": rng.normal(size=(2, 3)), "b": rng.normal(size=3)})
         shapes = store.shapes()
         steps = [{name: rng.normal(size=shape) for name, shape in shapes.items()} for _ in range(2)]
-        state = nn.AdamState(lr=0.05)
-        updated = store
-        for grads in steps:
-            updated, state = nn.adam_step(updated, flat(store, grads), state)
+        state = nn.AdamState(store.vector.size, lr=0.05)
+        updated = store.with_vector(adam(store.vector.copy(), [flat(store, g) for g in steps], state))
         assert state.step == 2
 
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
@@ -340,47 +362,111 @@ class TestAdam:
                 w = w - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
             assert updated[name].data.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("lr", [2.5e-4, np.float64(2e-3) * 0.37])
+    def test_in_place_steps_match_the_reference_form(self, lr, reference_forms):
+        # Parameters and both moments, byte for byte, after each of four
+        # steps (the first included) on a store of several parameters; one
+        # gradient is zero in places, as where no loss reached.
+        rng = np.random.default_rng(36)
+        store = nn.init_graph_block(3, [4, 5], [4, 6], rng)
+        grads = [rng.normal(size=store.vector.size) * scale for scale in (1.0, 1e-3, 50.0, 1.0)]
+        grads[1][:20] = 0.0
+        params = store.vector.copy()
+        grad_sum, scratch = np.empty(params.size), np.empty(params.size)
+        state = nn.AdamState(store.vector.size, lr=lr)
+        want, m, v = store.vector, None, None
+        for t, grad in enumerate(grads, start=1):
+            grad_sum[...] = grad
+            nn.adam_step(params, grad_sum, state, scratch)
+            want, m, v = reference_forms.adam_step(want, grad, m, v, t, lr)
+            assert state.step == t
+            assert params.tobytes() == want.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
     def test_untouched_params_unchanged(self):
         rng = np.random.default_rng(33)
         store = nn.init_mlp([2, 2, 2], rng)
-        updated, _ = nn.adam_step(store, flat(store, {"w0": np.ones((2, 2))}), nn.AdamState())
+        grad = flat(store, {"w0": np.ones((2, 2))})
+        updated = store.with_vector(adam(store.vector.copy(), [grad], nn.AdamState(grad.size)))
         assert np.array_equal(updated["w1"].data, store["w1"].data)
 
     def test_no_nan_from_finite_grads(self):
         rng = np.random.default_rng(34)
-        store = nn.ParamStore({"w": rng.normal(size=5)})
-        state = nn.AdamState(lr=0.1)
+        params = rng.normal(size=5)
+        state = nn.AdamState(5, lr=0.1)
         for scale in (1e-30, 1.0, 1e20):
-            store, state = nn.adam_step(store, rng.normal(size=5) * scale, state)
-            assert np.all(np.isfinite(store["w"].data))
+            adam(params, [rng.normal(size=5) * scale], state)
+            assert np.all(np.isfinite(params))
 
     def test_shape_mismatch_rejected(self):
-        store = nn.ParamStore({"w": np.zeros(3)})
+        params = np.zeros(3)
         for grad in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
             with pytest.raises(OpError, match="gradient shape"):
-                nn.adam_step(store, grad, nn.AdamState())
+                nn.adam_step(params, grad, nn.AdamState(3), np.zeros(3))
+
+    def test_step_allocates_no_vector(self):
+        size = 100_000
+        rng = np.random.default_rng(38)
+        params, state = rng.normal(size=size), nn.AdamState(size)
+        grad_sum, scratch = rng.normal(size=size), np.empty(size)
+        adam(params, [rng.normal(size=size)], state)  # the first step has its own branch
+        tracemalloc.start()
+        try:
+            nn.adam_step(params, grad_sum, state, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.step == 2 and peak < size
+
+    def test_read_only_vector_rejected(self):
+        store = nn.ParamStore({"w": np.zeros(3)})
+        with pytest.raises(ValueError, match="read-only"):
+            nn.adam_step(store.vector, np.ones(3), nn.AdamState(3), np.zeros(3))
+
+
+def polyak(target, online, alpha):
+    """`target` (a vector, updated in place and returned) after one Polyak
+    step towards `online`."""
+    nn.polyak_update(target, online, alpha, np.empty(target.size))
+    return target
 
 
 class TestPolyak:
     def test_alpha_one_copies_online(self):
-        t = nn.ParamStore({"w": np.zeros(3)})
-        o = nn.ParamStore({"w": np.array([1.0, 2.0, 3.0])})
-        assert np.array_equal(nn.polyak_update(t, o, 1.0)["w"].data, o["w"].data)
+        online = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(polyak(np.zeros(3), online, 1.0), online)
 
     def test_alpha_zero_keeps_target(self):
-        t = nn.ParamStore({"w": np.array([5.0, 6.0])})
-        o = nn.ParamStore({"w": np.zeros(2)})
-        assert np.array_equal(nn.polyak_update(t, o, 0.0)["w"].data, t["w"].data)
+        assert np.array_equal(polyak(np.array([5.0, 6.0]), np.zeros(2), 0.0), [5.0, 6.0])
 
     def test_small_alpha_moves_proportionally(self):
-        t = nn.ParamStore({"w": np.zeros(4)})
-        o = nn.ParamStore({"w": np.ones(4)})
-        out = nn.polyak_update(t, o, 1e-3)
-        assert np.allclose(out["w"].data, 0.001, atol=1e-18)
+        out = polyak(np.zeros(4), np.ones(4), 1e-3)
+        assert np.allclose(out, 0.001, atol=1e-18)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3, 1.0])
+    def test_in_place_step_matches_the_reference_form(self, alpha, reference_forms):
+        rng = np.random.default_rng(37)
+        target, online = rng.normal(size=50), rng.normal(size=50)
+        want = target
+        updated = target.copy()
+        for _ in range(3):
+            polyak(updated, online, alpha)
+            want = reference_forms.polyak_update(want, online, alpha)
+            assert updated.tobytes() == want.tobytes()
+
+    def test_step_allocates_no_vector(self):
+        size = 100_000
+        target, online, scratch = np.zeros(size), np.ones(size), np.empty(size)
+        tracemalloc.start()
+        try:
+            nn.polyak_update(target, online, 1e-3, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size and target[0] == 1e-3
 
     def test_mismatched_stores_rejected(self):
-        t = nn.ParamStore({"w": np.zeros(3)})
-        others = ({"v": np.zeros(3)}, {"w": np.zeros((3, 1))}, {"w": np.zeros(2), "b": np.zeros(1)})
-        for online in others:
-            with pytest.raises(OpError, match="layouts differ"):
-                nn.polyak_update(t, nn.ParamStore(online), 0.5)
+        # Vectors of another length or shape than the target's.
+        for online in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(OpError, match="shapes differ"):
+                nn.polyak_update(np.zeros(3), online, 0.5, np.zeros(3))

@@ -106,16 +106,59 @@ class TestTrainLoop:
                 grads[tid] = np.full(grads[tid].shape, np.nan)
             return grads
 
+        def state():
+            # Stores update in place: compare the bytes of every parameter
+            # vector and Adam moment.
+            fits = (trainer.value_fit, trainer.model_fit)
+            vectors = [trainer.value_params, trainer.model_params, trainer.target_params]
+            return [store.vector.tobytes() for store in vectors] + [
+                a.tobytes() for fit in fits for a in (fit.opt.m, fit.opt.v)
+            ]
+
         monkeypatch.setattr(nn.ParamStore, "bind", recording_bind)
         monkeypatch.setattr(trainer_module, "backward", poisoned_backward)
-        before = trainer.value_params, trainer.model_params
         trainer.run_iteration()
         trainer.run_iteration()
         trainer.run_iteration()
+        before = state()
         message = f"global step 8: store {store!r}, parameter {name!r}"
         with pytest.raises(ValueError, match=message):
             trainer.run_iteration()
-        assert (trainer.value_params, trainer.model_params) == before
+        assert state() == before
+        assert trainer.value_fit.opt.step == trainer.model_fit.opt.step == 0
+
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "QL", "QL-AM"])
+    def test_updates_stay_in_the_same_buffers(self, algorithm):
+        # Adam, Polyak and the gradient sums write the trainer's buffers in
+        # place: after eight Adam steps (QL-AM's agent model first steps at
+        # iteration 28 with this seed) they are the same arrays, the stores
+        # are the same read-only views of them, and the stores handed out
+        # share no memory with any of them.
+        trainer = Trainer(tiny_cfg(algorithm))
+        fits = [fit for fit in (trainer.value_fit, trainer.model_fit) if fit is not None]
+
+        def buffers():
+            arrays = [trainer.target, trainer.scratch]
+            return arrays + [a for f in fits for a in (f.vector, f.opt.m, f.opt.v, f.grad_sum)]
+
+        before = buffers()
+        stores = [trainer.value_params, trainer.model_params, trainer.target_params]
+        start = [a.tobytes() for a in before]
+        for _ in range(32):
+            trainer.run_iteration()
+        assert all(a is b for a, b in zip(buffers(), before))
+        assert all(a.tobytes() != b for a, b in zip(buffers(), start))
+        assert [trainer.value_params, trainer.model_params, trainer.target_params] == stores
+        assert trainer.value_fit.opt.step == 8
+        own = [(trainer.target_params, trainer.target)]
+        own += [(f.params, f.vector) for f in fits]
+        for store, vector in own:
+            assert np.shares_memory(store.vector, vector) and not store.vector.flags.writeable
+        handed_out = trainer.stores()
+        assert len(handed_out) == len(fits) + 1
+        for store in handed_out.values():
+            assert not store.vector.flags.writeable
+            assert not any(np.shares_memory(store.vector, a) for a in buffers())
 
     def test_total_zero_steps_only_initial_record(self):
         res = train(tiny_cfg(total_steps=0))
@@ -241,9 +284,11 @@ class TestSharedForward:
         for _ in range(27):  # two steps into the second episodes (horizon 25)
             trainer.run_iteration()
         policies = []
+        # Copies: the trainer's next iteration updates its own stores.
+        stores = trainer.stores()
         for slot in trainer.slots:
             rng = np.random.default_rng(0)
-            policy = GplPolicy(cfg, trainer.value_params, trainer.model_params, rng)
+            policy = GplPolicy(cfg, stores["value"], stores["agent_model"], rng)
             policy.slot = copy.deepcopy(replace(slot, session=None))
             policies.append(policy)
         assert any(len(policy.slot.obs.order) > 1 for policy in policies)
@@ -651,7 +696,8 @@ class TestSupervisedWindows:
             for loss_fn, data in ((window_loss, episodes), (reference_forms.window_loss, steps)):
                 bound = params.bind(Tape())
                 loss = loss_fn(bound, data, batch, window, cfg.net.embedding_dim)
-                grads = params.accumulate(None, bound, backward(loss))
+                grads = np.empty(params.vector.size)
+                params.accumulate(grads, bound, backward(loss), fresh=True)
                 runs.append((T.raw(loss).tobytes(), grads.tobytes()))
             assert runs[0] == runs[1]
         assert covered == {"arrivals", "departures", "episode start"}
