@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
+from .envs import WORLDS
 from .envs.base import EnvConfig
 from .openness import OpennessConfig
-from .teammates import LBF_TYPES, WOLF_TYPES
 
 GPL_ALGORITHMS = ("GPL-Q", "GPL-SPI")
 ALGORITHMS = (*GPL_ALGORITHMS, "QL", "QL-AM")
-ENVS = ("wolfpack", "lbf")
+ENVS = tuple(WORLDS)
 
 
 class ConfigError(ValueError):
@@ -111,35 +111,30 @@ class RunConfig:
             raise ConfigError("intervals must be >= 1")
         if not 0 < self.polyak_alpha <= 1:
             raise ConfigError("polyak alpha must be in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         # Only the padded-input baselines read `max_team_pad`.
         limit = max(self.openness_train.team_limit, self.openness_eval.team_limit)
         if self.algorithm not in GPL_ALGORITHMS and self.max_team_pad < limit:
             raise ConfigError("padded input must cover the largest team limit")
-        env = self.env
+        env, world = self.env, WORLDS[self.env.name]
         for openness in (self.openness_train, self.openness_eval):
-            unknown = [t for t in openness.type_pool if t not in _default_pool(env.name)]
+            unknown = [t for t in openness.type_pool if t not in world.TEAMMATE_TYPES]
             if unknown:
                 raise ConfigError(f"teammate types {unknown} are not {env.name} types")
         if min(env.width, env.height, env.horizon) < 1:
             raise ConfigError("grid width, height and horizon must be >= 1")
         if min(env.prey_count, env.n_objects) < 0:
             raise ConfigError("prey and object counts must be >= 0")
-        # The largest team, the prey or objects and, on wolfpack, one spare
-        # cell: a capture respawns its prey while its old cell is occupied.
-        need = limit + (env.prey_count + 1 if env.name == "wolfpack" else env.n_objects)
+        need = limit + world.cells_needed(env)
         if env.width * env.height < need:
             raise ConfigError(f"a {env.width}x{env.height} grid has fewer than {need} cells")
         return self
 
 
-def _default_pool(env_name: str):
-    return WOLF_TYPES if env_name == "wolfpack" else LBF_TYPES
-
-
 def _default_openness(env_name: str, team_limit: int) -> OpennessConfig:
-    if env_name == "wolfpack":
-        return OpennessConfig((25, 35), (15, 25), team_limit, _default_pool(env_name))
-    return OpennessConfig((15, 25), (10, 20), team_limit, _default_pool(env_name))
+    world = WORLDS[env_name]
+    return OpennessConfig(world.ACTIVE_RANGE, world.WAITING_RANGE, team_limit, world.TEAMMATE_TYPES)
 
 
 def default_config(env_name: str, algorithm: str = RunConfig.algorithm) -> RunConfig:

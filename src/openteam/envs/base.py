@@ -1,4 +1,5 @@
-"""Shared grid-world plumbing: actions, movement resolution, observations."""
+"""Shared grid-world plumbing: actions, movement resolution, observations,
+and the joint-action check of every world's step."""
 
 from __future__ import annotations
 
@@ -7,13 +8,12 @@ from functools import cache
 
 import numpy as np
 
-# Action indices shared by both environments. Coordinates are (row, col)
-# with row 0 at the top; "up" decreases the row.
+# Action indices shared by both environments; each world lists the ones it
+# takes (`ACTIONS`). Coordinates are (row, col) with row 0 at the top; "up"
+# decreases the row.
 UP, DOWN, LEFT, RIGHT, STAY, LOAD = range(6)
 DELTAS = {UP: (-1, 0), DOWN: (1, 0), LEFT: (0, -1), RIGHT: (0, 1), STAY: (0, 0)}
 MOVE_ACTIONS = (UP, DOWN, LEFT, RIGHT)
-WOLF_ACTIONS = (UP, DOWN, LEFT, RIGHT, STAY)
-LBF_ACTIONS = (UP, DOWN, LEFT, RIGHT, STAY, LOAD)
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,16 @@ class Observation:
             row[:width] = self.x[j]
         rows[:, width:] = self.u
         return rows
+
+
+def check_joint_action(actions: dict, agents, valid) -> None:
+    """Raise ValueError unless `actions` gives every one of `agents`, and no
+    other agent, an action in `valid`."""
+    if set(actions) != set(agents):
+        raise ValueError(f"joint action covers {sorted(actions)} but roster is {sorted(agents)}")
+    for agent_id, action in actions.items():
+        if action not in valid:
+            raise ValueError(f"invalid action {action} for agent {agent_id}")
 
 
 def manhattan(a, b) -> int:

@@ -15,10 +15,11 @@ import numpy as np
 
 from ..openness import LEARNER_ID, Roster
 from .base import (
-    LBF_ACTIONS,
     LOAD,
     MOVE_ACTIONS,
+    STAY,
     Observation,
+    check_joint_action,
     manhattan,
     move_target,
     resolve_moves,
@@ -26,6 +27,10 @@ from .base import (
 )
 
 LEVELS = (1, 2, 3)
+ACTIONS = (*MOVE_ACTIONS, STAY, LOAD)
+TEAMMATE_TYPES = ("lbf.H1", "lbf.H2", "lbf.H3", "lbf.H4", "lbf.H6", "lbf.H7", "lbf.H8", "lbf.H9")
+# Default openness: teammates stay 15-25 steps and slots wait 10-20.
+ACTIVE_RANGE, WAITING_RANGE = (15, 25), (10, 20)
 
 
 @dataclass
@@ -62,10 +67,17 @@ class LbfState:
         )
 
 
-def lbf_reset(rng, agent_levels: dict[int, int], cfg) -> LbfState:
-    """Place agents then objects on distinct cells; object levels uniform."""
-    state = LbfState(cfg.width, cfg.height, {}, dict(agent_levels), [], 0, cfg.horizon)
-    for agent_id in agent_levels:
+def cells_needed(cfg) -> int:
+    """Cells the world takes beside the team's: one per object."""
+    return cfg.n_objects
+
+
+def reset(rng, agent_ids, cfg) -> LbfState:
+    """Draw each agent's level, in `agent_ids` order, then place the agents
+    and the objects on distinct cells; object levels are uniform."""
+    levels = {agent_id: int(rng.choice(LEVELS)) for agent_id in agent_ids}
+    state = LbfState(cfg.width, cfg.height, {}, levels, [], 0, cfg.horizon)
+    for agent_id in levels:
         state.positions[agent_id] = sample_empty_cell(
             rng, state.occupied_cells(), cfg.width, cfg.height
         )
@@ -89,13 +101,7 @@ def remove_agent(state: LbfState, agent_id: int) -> None:
 
 def lbf_step(state: LbfState, actions: dict[int, int], rng):
     """Resolve moves, then loading; returns (state', learner reward, done)."""
-    if set(actions) != set(state.positions):
-        raise ValueError(
-            f"joint action covers {sorted(actions)} but roster is {sorted(state.positions)}"
-        )
-    for agent_id, action in actions.items():
-        if action not in LBF_ACTIONS:
-            raise ValueError(f"invalid action {action} for agent {agent_id}")
+    check_joint_action(actions, state.positions, ACTIONS)
 
     new = state.copy()
     blocked = {o.pos for o in new.objects if not o.collected}
@@ -122,7 +128,10 @@ def lbf_step(state: LbfState, actions: dict[int, int], rng):
     return new, reward, done
 
 
-def encode_lbf_obs(state: LbfState, roster: Roster) -> Observation:
+step = lbf_step
+
+
+def observe(state: LbfState, roster: Roster) -> Observation:
     """u = 3 object slots of (row, col, level), collected slots -1; x = (row, col, level)."""
     u = np.full(3 * len(state.objects), -1.0)
     for i, obj in enumerate(state.objects):

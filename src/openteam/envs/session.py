@@ -1,9 +1,10 @@
 """An open-team episode driver: environment + roster + scripted teammates.
 
-The session owns one environment instance and its rng. Each step it collects
-teammate actions from their scripted policies, advances the grid, then runs
-the openness process: departed agents leave the grid, arriving agents are
-placed on random empty cells with freshly sampled traits.
+The session owns one environment instance and its rng, and drives its world
+module (`envs.WORLDS`) through the interface every world offers. Each step it
+collects teammate actions from their scripted policies, advances the grid,
+then runs the openness process: departed agents leave the grid, arriving
+agents are placed on random empty cells with freshly sampled traits.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 
 from ..openness import LEARNER_ID, OpennessConfig, Roster, reset_roster, roster_step
 from ..teammates import TeammateMemory, sample_memory, teammate_act
-from . import foraging, wolfpack
-from .base import EnvConfig, LBF_ACTIONS, Observation, WOLF_ACTIONS
+from . import WORLDS
+from .base import EnvConfig, Observation
 
 
 @dataclass
@@ -35,15 +36,18 @@ class OpenEnv:
         self.env_cfg = env_cfg
         self.openness = openness_cfg.validate()
         self.rng = rng
-        self.is_lbf = env_cfg.name == "lbf"
-        self.actions = LBF_ACTIONS if self.is_lbf else WOLF_ACTIONS
         self.roster: Roster | None = None
         self.state = None
         self.memories: dict[int, TeammateMemory] = {}
 
     @property
+    def world(self):
+        """The env's world module (looked up, so that a session pickles)."""
+        return WORLDS[self.env_cfg.name]
+
+    @property
     def action_count(self) -> int:
-        return len(self.actions)
+        return len(self.world.ACTIONS)
 
     def reset(self) -> Observation:
         self.roster = reset_roster(self.rng, self.openness)
@@ -51,19 +55,11 @@ class OpenEnv:
             j: sample_memory(self.roster.agents[j].type_id, self.rng)
             for j in self.roster.teammate_ids
         }
-        if self.is_lbf:
-            levels = {
-                j: int(self.rng.choice(foraging.LEVELS)) for j in self.roster.ids
-            }
-            self.state = foraging.lbf_reset(self.rng, levels, self.env_cfg)
-        else:
-            self.state = wolfpack.wolf_reset(self.rng, self.roster.ids, self.env_cfg)
+        self.state = self.world.reset(self.rng, self.roster.ids, self.env_cfg)
         return self.observe()
 
     def observe(self) -> Observation:
-        if self.is_lbf:
-            return foraging.encode_lbf_obs(self.state, self.roster)
-        return wolfpack.encode_wolf_obs(self.state, self.roster)
+        return self.world.observe(self.state, self.roster)
 
     def teammate_actions(self) -> dict[int, int]:
         return {
@@ -76,10 +72,7 @@ class OpenEnv:
     def step(self, learner_action: int) -> StepResult:
         joint = {LEARNER_ID: int(learner_action)}
         joint.update(self.teammate_actions())
-        if self.is_lbf:
-            self.state, reward, done = foraging.lbf_step(self.state, joint, self.rng)
-        else:
-            self.state, reward, done = wolfpack.wolf_step(self.state, joint, self.rng)
+        self.state, reward, done = self.world.step(self.state, joint, self.rng)
 
         departures, arrivals = [], []
         if not done:
@@ -88,18 +81,12 @@ class OpenEnv:
             )
             for agent_id in departures:
                 self.memories.pop(agent_id, None)
-                if self.is_lbf:
-                    foraging.remove_agent(self.state, agent_id)
-                else:
-                    wolfpack.remove_agent(self.state, agent_id)
+                self.world.remove_agent(self.state, agent_id)
             for agent_id in arrivals:
                 self.memories[agent_id] = sample_memory(
                     self.roster.agents[agent_id].type_id, self.rng
                 )
-                if self.is_lbf:
-                    foraging.add_agent(self.state, agent_id, self.rng)
-                else:
-                    wolfpack.add_agent(self.state, agent_id, self.rng)
+                self.world.add_agent(self.state, agent_id, self.rng)
         return StepResult(self.observe(), reward, done, departures, arrivals, joint)
 
 

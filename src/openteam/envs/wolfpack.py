@@ -15,13 +15,19 @@ import numpy as np
 from ..openness import LEARNER_ID, Roster
 from .base import (
     MOVE_ACTIONS,
-    WOLF_ACTIONS,
+    STAY,
     Observation,
+    check_joint_action,
     manhattan,
     move_target,
     resolve_moves,
     sample_empty_cell,
 )
+
+ACTIONS = (*MOVE_ACTIONS, STAY)
+TEAMMATE_TYPES = ("wolf.H1", "wolf.H2", "wolf.H3", "wolf.H4", "wolf.H7", "wolf.H8", "wolf.H9")
+# Default openness: teammates stay 25-35 steps and slots wait 15-25.
+ACTIVE_RANGE, WAITING_RANGE = (25, 35), (15, 25)
 
 
 @dataclass
@@ -42,7 +48,14 @@ class WolfState:
         )
 
 
-def wolf_reset(rng, agent_ids, cfg) -> WolfState:
+def cells_needed(cfg) -> int:
+    """Cells the world takes beside the team's: one per prey, and a spare one,
+    since a capture respawns its prey while the old cell is still taken."""
+    return cfg.prey_count + 1
+
+
+def reset(rng, agent_ids, cfg) -> WolfState:
+    """Place the hunters, then the prey, on distinct cells."""
     state = WolfState(cfg.width, cfg.height, {}, [], 0, cfg.horizon)
     for agent_id in agent_ids:
         state.positions[agent_id] = sample_empty_cell(
@@ -74,7 +87,7 @@ def prey_act(state: WolfState, prey_index: int, rng) -> int:
     pos = state.prey[prey_index]
     hunters = list(state.positions.values())
     scores = []
-    for action in WOLF_ACTIONS:
+    for action in ACTIONS:
         r, c = move_target(pos, action, state.width, state.height)
         # Chebyshev distance to the nearest hunter (0 without hunters).
         near = None
@@ -87,7 +100,7 @@ def prey_act(state: WolfState, prey_index: int, rng) -> int:
                 near = dr
         scores.append(0 if near is None else near)
     best = max(scores)
-    choices = [a for a, s in zip(WOLF_ACTIONS, scores) if s == best]
+    choices = [a for a, s in zip(ACTIONS, scores) if s == best]
     return int(choices[int(rng.integers(0, len(choices)))])
 
 
@@ -96,13 +109,7 @@ def wolf_step(state: WolfState, actions: dict[int, int], rng):
 
     Returns (state', learner reward, done).
     """
-    if set(actions) != set(state.positions):
-        raise ValueError(
-            f"joint action covers {sorted(actions)} but roster is {sorted(state.positions)}"
-        )
-    for agent_id, action in actions.items():
-        if action not in WOLF_ACTIONS:
-            raise ValueError(f"invalid action {action} for agent {agent_id}")
+    check_joint_action(actions, state.positions, ACTIONS)
 
     new = state.copy()
     prey_keys = [("prey", i) for i in range(len(new.prey))]
@@ -137,7 +144,10 @@ def wolf_step(state: WolfState, actions: dict[int, int], rng):
     return new, reward, new.step >= new.horizon
 
 
-def encode_wolf_obs(state: WolfState, roster: Roster) -> Observation:
+step = wolf_step
+
+
+def observe(state: WolfState, roster: Roster) -> Observation:
     """u = prey (row, col) slots in index order; x = hunter (row, col)."""
     u = np.array([coord for pos in state.prey for coord in pos], dtype=float)
     x = {

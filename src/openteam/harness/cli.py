@@ -65,6 +65,9 @@ def cli(argv) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.seed is not None and args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 2
 
     try:
         if args.command == "train":

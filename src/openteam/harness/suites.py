@@ -9,7 +9,7 @@ import numpy as np
 from .. import nn
 from .. import tensor as T
 from ..config import NetConfig
-from ..learner.model import embed_rows, init_model_net, init_value_net
+from ..learner.model import embed_rows, model_net_layout, value_net_layout
 from ..learner.values import (
     AgentModelOutput,
     UtilityTables,
@@ -132,21 +132,21 @@ def marginalization_suite(instances=1000, seed=0):
 def _block_checks(rng, instances):
     """Gradient checks for each parameterized block; yields (label, error)."""
     for i in range(instances):
-        # MLP with mixed activations
-        params = nn.init_mlp([4, 6, 5, 1], rng)
+        # MLP: leaky-relu hidden layers, linear output
+        params = nn.draw(nn.mlp_layout([4, 6, 5, 1]), rng)
         x = Tensor(rng.normal(size=(2, 4)))
         names = params.names()
         target = names[i % len(names)]
 
         def f_mlp(p, *, params=params, target=target, x=x):
             patched = {**params.arrays, target: p}
-            out = nn.mlp_forward(patched, x, schedule=["tanh", "leaky-relu", None])
+            out = nn.mlp_forward(patched, x)
             return T.sum_all(out)
 
         yield f"mlp/{target}", grad_check(f_mlp, params[target])
 
         # LSTM through 3 unrolled steps
-        lstm = nn.init_lstm(3, 4, rng)
+        lstm = nn.draw(nn.lstm_layout(3, 4), rng)
         xs = [Tensor(rng.normal(size=(2, 3))) for _ in range(3)]
         lstm_names = lstm.names()
         target = lstm_names[i % len(lstm_names)]
@@ -162,7 +162,7 @@ def _block_checks(rng, instances):
         yield f"lstm/{target}", grad_check(f_lstm, lstm[target])
 
         # Graph block over 3 nodes
-        graph = nn.init_graph_block(3, [4, 5], [4, 5], rng)
+        graph = nn.draw(nn.graph_block_layout(3, [4, 5], [4, 5]), rng)
         nodes = Tensor(rng.normal(size=(3, 3)))
         graph_names = graph.names()
         target = graph_names[i % len(graph_names)]
@@ -184,8 +184,8 @@ def _loss_checks(rng, instances):
         segments = [(0, sizes[0]), (sizes[0], n_rows)]
         learner_rows = [lo for lo, hi in segments for _ in range(lo, hi)]
         mates = [r for r in range(n_rows) if r != learner_rows[r]]
-        value_params = init_value_net(in_dim, actions, SMALL_NET, rng)
-        model_params = init_model_net(in_dim, actions, SMALL_NET, rng)
+        value_params = nn.draw(value_net_layout(in_dim, actions, SMALL_NET), rng)
+        model_params = nn.draw(model_net_layout(in_dim, actions, SMALL_NET), rng)
         batch = rng.normal(size=(n_rows, in_dim))
         h0 = rng.normal(size=(n_rows, SMALL_NET.embedding_dim)) * 0.3
         c0 = rng.normal(size=(n_rows, SMALL_NET.embedding_dim)) * 0.3

@@ -26,6 +26,7 @@ import numpy as np
 from .. import nn
 from .. import tensor as T
 from ..config import RunConfig
+from ..envs import WORLDS
 from .model import EmbeddingStore, embed_rows, embedding_layout, preprocess, stacked
 from .values import one_hot
 
@@ -118,10 +119,6 @@ def baseline_net_layout(input_len, action_count, net_cfg) -> dict:
     }
 
 
-def init_baseline_net(input_len, action_count, net_cfg, rng) -> nn.ParamStore:
-    return nn.draw(baseline_net_layout(input_len, action_count, net_cfg), rng)
-
-
 def ql_baseline_forward(params, padded, state):
     """(action values (n, |A|), (h', c')) for n padded input rows (or one)."""
     rows = np.atleast_2d(padded)
@@ -135,16 +132,15 @@ def ql_baseline_forward(params, padded, state):
 class PaddedStep:
     """The padded-input baselines' (QL / QL-AM) value side of an iteration:
     one padded forward over all slots per pathway (see the module
-    docstring). `rng` draws the teammates' input slots; `action_count` is the
-    env's."""
+    docstring). `rng` draws the teammates' input slots."""
 
     store_order = ("value", "target_value", "agent_model")
     mode = "QL"
 
-    def __init__(self, cfg: RunConfig, rng, action_count: int):
+    def __init__(self, cfg: RunConfig, rng):
         self.cfg = cfg
         self.rng = rng
-        self.action_count = action_count
+        self.action_count = len(WORLDS[cfg.env.name].ACTIONS)
 
     def begin(self, slot, obs):
         """Fresh episode state at the episode's first observation `obs`."""

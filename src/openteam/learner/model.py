@@ -161,9 +161,8 @@ def model_net_layout(in_dim, action_count, net_cfg) -> dict:
     }
 
 
-def init_value_net(in_dim, action_count, net_cfg, rng) -> nn.ParamStore:
-    return nn.draw(value_net_layout(in_dim, action_count, net_cfg), rng)
-
-
 def init_model_net(in_dim, action_count, net_cfg, rng) -> nn.ParamStore:
+    """The agent-model network, drawn (`nn.draw`): where the supervised fit
+    starts, and the untrained reference the acceptance criteria compare it
+    with."""
     return nn.draw(model_net_layout(in_dim, action_count, net_cfg), rng)

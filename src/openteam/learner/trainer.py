@@ -1,7 +1,9 @@
 """Synchronous training over parallel open-team environments.
 
-`Trainer` runs every algorithm with one iteration. It acts in and steps
-every environment, follows each continuing one to its next roster, restarts
+`Trainer` runs every algorithm with one iteration. It draws its value and
+agent-model networks from their layouts (`param_layouts`, `nn.draw`), value
+first, from one stream of its seed. Each iteration it acts in and steps every
+environment, follows each continuing one to its next roster, restarts
 finished episodes, runs the agent model once per pathway over the stacked
 rosters of all environments (`model_pass`) and builds the TD targets. It
 turns the value of the actions taken, their targets and the teammate-action
@@ -23,8 +25,10 @@ for the coordination-graph learner (GPL-Q / GPL-SPI), `baseline.PaddedStep`
 for the padded-input baselines (QL / QL-AM). A step object starts and
 follows an environment's slot (`begin`, `follow`), turns observations and
 teammate predictions into each learner's action values (`values`) and
-gives the value of the actions taken (`taken`). `GplPolicy` runs the same
-code on one environment to act for every algorithm.
+gives the value of the actions taken (`taken`); the baselines' step reads
+the action count off its world (`envs.WORLDS`), so no step object needs a
+probe session. `GplPolicy` runs the same code on one environment to act
+for every algorithm.
 
 For GPL the rows of all environments are stacked into one batch: the
 embeddings and utility heads run once over it, and each team's rows are
@@ -106,12 +110,6 @@ def param_layouts(cfg: RunConfig, dims):
     if cfg.algorithm == "QL":
         return value, None
     return value, model_net_layout(x_len + u_len, action_count, cfg.net)
-
-
-def init_params(cfg: RunConfig, rng, dims):
-    """Initial (value, agent model) parameters of `param_layouts`, drawn from
-    `rng` in that order."""
-    return tuple(None if lay is None else nn.draw(lay, rng) for lay in param_layouts(cfg, dims))
 
 
 class Fit:
@@ -255,7 +253,7 @@ def make_step(cfg: RunConfig, rng):
     teammate slots."""
     if cfg.algorithm in GPL_ALGORITHMS:
         return GplStep(cfg)
-    return PaddedStep(cfg, rng, env_dims(cfg)[2])
+    return PaddedStep(cfg, rng)
 
 
 class Trainer:
@@ -270,7 +268,8 @@ class Trainer:
         # leave child 3 unused) is historical and kept so that runs reproduce.
         k = 3 if cfg.algorithm in GPL_ALGORITHMS else 4
         seeds = np.random.SeedSequence(cfg.seed).spawn(k + cfg.parallel_envs)
-        value, model = init_params(cfg, np.random.default_rng(seeds[0]), env_dims(cfg))
+        layouts, init_rng = param_layouts(cfg, env_dims(cfg)), np.random.default_rng(seeds[0])
+        value, model = (None if lay is None else nn.draw(lay, init_rng) for lay in layouts)
         self.learner_rng = np.random.default_rng(seeds[1])
         self.step = make_step(cfg, np.random.default_rng(seeds[2]))
         self.slots = []

@@ -4,7 +4,8 @@ Parameters live in a :class:`ParamStore`: one read-only float64 vector and
 the layout that maps each name to its (offset, shape) in it. A network is
 described by its parameter layout (name -> (shape, fan-in), see
 :func:`mlp_layout`), which gives its shapes without drawing anything, and
-:func:`draw` draws it straight into one vector. Training updates vectors in
+is built only as ``draw(layout, rng)``, straight into one vector; a layout
+function per block or network is all there is. Training updates vectors in
 place: :func:`adam_step`, :func:`polyak_update` and
 :meth:`ParamStore.accumulate` write whole vectors with ``out=`` ufuncs into
 buffers their caller owns, so an update allocates nothing. Whoever owns such
@@ -182,31 +183,6 @@ def draw(layout, rng) -> ParamStore:
     return ParamStore.from_vector(layout_shapes(layout), vector)
 
 
-def init_mlp(sizes, rng, prefix="") -> ParamStore:
-    """Fully connected stack, drawn (`draw`)."""
-    return draw(mlp_layout(sizes, prefix), rng)
-
-
-def init_lstm(input_size, hidden_size, rng, prefix="") -> ParamStore:
-    """Single LSTM cell, drawn (`draw`)."""
-    return draw(lstm_layout(input_size, hidden_size, prefix), rng)
-
-
-def init_graph_block(node_dim, edge_sizes, node_sizes, rng) -> ParamStore:
-    """Edge and node MLPs of a message-passing block, drawn (`draw`)."""
-    return draw(graph_block_layout(node_dim, edge_sizes, node_sizes), rng)
-
-
-_ACTIVATIONS = {
-    "tanh": T.tanh,
-    "sigmoid": T.sigmoid,
-    "relu": T.relu,
-    "leaky-relu": T.leaky_relu,
-    "softmax": T.softmax,
-    None: lambda x: x,
-}
-
-
 # prefix -> ((weight, bias) name per layer, first weight name past the last).
 _LAYER_NAMES = {}
 
@@ -230,24 +206,14 @@ def _layers(params, prefix):
     return names
 
 
-def mlp_forward(params, x, schedule=None, prefix=""):
-    """Alternating affine + nonlinearity.
-
-    `schedule` holds one activation name (or None) per layer; the default is
-    leaky-relu everywhere except the final, linear layer.
-    """
+def mlp_forward(params, x, prefix=""):
+    """Alternating affine + leaky-relu; the final layer is linear."""
     layers = _layers(params, prefix)
     last = len(layers) - 1
-    if schedule is not None and len(schedule) != last + 1:
-        raise OpError(
-            f"mlp_forward: schedule length {len(schedule)} != layer count {last + 1}"
-        )
     out = x
     for layer, (w, b) in enumerate(layers):
         out = T.matmul(out, params[w]) + params[b]
-        if schedule is not None:
-            out = _ACTIVATIONS[schedule[layer]](out)
-        elif layer < last:
+        if layer < last:
             out = T.leaky_relu(out)
     return out
 

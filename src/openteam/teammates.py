@@ -16,31 +16,17 @@ from functools import lru_cache
 from .envs.base import (
     DELTAS,
     DOWN,
-    LBF_ACTIONS,
     LEFT,
     LOAD,
     RIGHT,
     STAY,
     UP,
-    WOLF_ACTIONS,
     manhattan,
     neighbor_table,
     neighbors4,
 )
-from .envs.foraging import LbfState
-from .envs.wolfpack import WolfState
-
-WOLF_TYPES = ("wolf.H1", "wolf.H2", "wolf.H3", "wolf.H4", "wolf.H7", "wolf.H8", "wolf.H9")
-LBF_TYPES = (
-    "lbf.H1",
-    "lbf.H2",
-    "lbf.H3",
-    "lbf.H4",
-    "lbf.H6",
-    "lbf.H7",
-    "lbf.H8",
-    "lbf.H9",
-)
+from .envs.foraging import ACTIONS as LBF_ACTIONS, TEAMMATE_TYPES as LBF_TYPES, LbfState
+from .envs.wolfpack import ACTIONS as WOLF_ACTIONS, TEAMMATE_TYPES as WOLF_TYPES, WolfState
 
 WAITING_RADII = (3, 4, 5)
 WINDOW_SIZES = (3, 5, 7)

@@ -25,7 +25,7 @@ import pytest
 from openteam import teammates
 from openteam import tensor as T
 from openteam.envs import foraging, wolfpack
-from openteam.envs.base import DOWN, LEFT, RIGHT, STAY, UP, WOLF_ACTIONS, manhattan, move_target
+from openteam.envs.base import DOWN, LEFT, RIGHT, STAY, UP, manhattan, move_target
 from openteam.harness.cli import pin_blas_threads
 from openteam.learner.model import (
     Teams,
@@ -127,11 +127,11 @@ def ref_prey_act(state, prey_index, rng):
     pos = state.prey[prey_index]
     hunters = list(state.positions.values())
     scores = []
-    for action in WOLF_ACTIONS:
+    for action in wolfpack.ACTIONS:
         r, c = move_target(pos, action, state.width, state.height)
         scores.append(min((max(abs(r - hr), abs(c - hc)) for hr, hc in hunters), default=0))
     best = max(scores)
-    choices = [a for a, s in zip(WOLF_ACTIONS, scores) if s == best]
+    choices = [a for a, s in zip(wolfpack.ACTIONS, scores) if s == best]
     return int(choices[int(rng.integers(0, len(choices)))])
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,9 @@ from scipy import stats
 
 from openteam.config import default_config
 from openteam.envs.base import DOWN, LEFT, LOAD, RIGHT, STAY, UP, EnvConfig, resolve_moves
-from openteam.envs.foraging import FoodItem, LbfState, encode_lbf_obs, lbf_reset, lbf_step
-from openteam.envs.wolfpack import WolfState, encode_wolf_obs, prey_act, wolf_reset, wolf_step
+from openteam.envs import WORLDS, foraging, wolfpack
+from openteam.envs.foraging import FoodItem, LbfState, lbf_step
+from openteam.envs.wolfpack import WolfState, prey_act, wolf_step
 from openteam.envs.session import make_session
 from openteam.openness import LEARNER_ID, OpennessConfig, reset_roster
 from openteam.teammates import _team_plans
@@ -78,7 +80,7 @@ class TestLbfStep:
     def test_object_conservation(self):
         cfg = EnvConfig.defaults("lbf")
         rng = np.random.default_rng(4)
-        state = lbf_reset(rng, {0: 3, 1: 2}, cfg)
+        state = foraging.reset(rng, [0, 1], cfg)
         for _ in range(50):
             actions = {a: int(rng.integers(0, 6)) for a in state.positions}
             state, _, done = lbf_step(state, actions, rng)
@@ -150,7 +152,7 @@ class TestWolfStep:
     def test_no_two_entities_share_cell(self):
         cfg = EnvConfig.defaults("wolfpack")
         rng = np.random.default_rng(3)
-        state = wolf_reset(rng, [0, 1, 2], cfg)
+        state = wolfpack.reset(rng, [0, 1, 2], cfg)
         for _ in range(200):
             actions = {a: int(rng.integers(0, 5)) for a in state.positions}
             state, _, done = wolf_step(state, actions, rng)
@@ -210,19 +212,19 @@ class TestEncodeObs:
             {0: 2},
             [FoodItem((2, 2), 1, True), FoodItem((3, 3), 2, True), FoodItem((4, 4), 3, True)],
         )
-        obs = encode_lbf_obs(state, roster)
+        obs = foraging.observe(state, roster)
         assert np.array_equal(obs.u, [-1.0] * 9)
 
     def test_wolf_u_is_prey_coordinates(self):
         roster = reset_roster(np.random.default_rng(0), OpennessConfig((5, 6), (1, 2), 1, ()))
         state = wolf_state({0: (1, 1)}, [(0, 0), (9, 9)])
-        obs = encode_wolf_obs(state, roster)
+        obs = wolfpack.observe(state, roster)
         assert np.array_equal(obs.u, [0.0, 0.0, 9.0, 9.0])
 
     def test_lbf_x_is_position_and_level(self):
         roster = reset_roster(np.random.default_rng(0), OpennessConfig((5, 6), (1, 2), 1, ()))
         state = lbf_state({0: (3, 4)}, {0: 2}, [FoodItem((2, 2), 1)])
-        obs = encode_lbf_obs(state, roster)
+        obs = foraging.observe(state, roster)
         assert np.array_equal(obs.x[0], [3.0, 4.0, 2.0])
 
     def test_learner_slot_first_in_batch(self):
@@ -290,6 +292,53 @@ class TestSession:
             return trace
 
         assert run(42) == run(42)
+
+
+class TestWorldInterface:
+    """Both worlds behind one interface: session replays pinned to fixed
+    digests, so that a random draw moved between the session and a world
+    shows (replaying both sides through one session cannot see it), and the
+    step's joint-action check."""
+
+    REPLAYS = {
+        ("wolfpack", 3): "53128359c0c27381c0e8e7049d844c1d31db66f543e0ee9b70efde39528e3500",
+        ("wolfpack", 5): "8ebe62dc0aa0393c165a5d0981354d49abdbadcb41f4e73f75bf7ac0ddc82f75",
+        ("lbf", 3): "bbf50e8bc5cc85d8bbe50969202b1cf87e111771a0a09a4408eb77d1739db484",
+        ("lbf", 5): "54f7a3577ff5ed20c8daf67f9d7456aec3b404cd713e7d112e0fe38754a4b994",
+    }
+
+    @pytest.mark.parametrize("env_name, limit", sorted(REPLAYS))
+    def test_replay_digest_is_pinned(self, env_name, limit):
+        # 3,000 steps of a uniform-random learner (session seed 5, learner
+        # seed 6) at the default eval openness: every reward, done flag,
+        # departure, arrival, joint action, roster order and observation byte.
+        openness = replace(default_config(env_name, "GPL-Q").openness_eval, team_limit=limit)
+        session = make_session(EnvConfig.defaults(env_name), openness, 5)
+        learner = np.random.default_rng(6)
+        obs = session.reset()
+        digest = hashlib.sha256(repr(obs.order).encode() + obs.batch_rows().tobytes())
+        for _ in range(3000):
+            res = session.step(int(learner.integers(0, session.action_count)))
+            joint = list(res.joint_action.items())
+            fields = (res.reward, res.done, res.departures, res.arrivals, joint, res.obs.order)
+            digest.update(repr(fields).encode() + res.obs.batch_rows().tobytes())
+            if res.done:
+                obs = session.reset()
+                digest.update(repr(obs.order).encode() + obs.batch_rows().tobytes())
+        assert digest.hexdigest() == self.REPLAYS[env_name, limit]
+
+    @pytest.mark.parametrize("env_name", list(WORLDS))
+    def test_step_rejects_a_joint_action_off_the_roster_or_the_actions(self, env_name):
+        world = WORLDS[env_name]
+        rng = np.random.default_rng(0)
+        state = world.reset(rng, [0, 1], EnvConfig.defaults(env_name))
+        for joint in ({0: STAY}, {0: STAY, 1: STAY, 2: STAY}):
+            with pytest.raises(ValueError, match="joint action covers"):
+                world.step(state, joint, rng)
+        for bad in (max(world.ACTIONS) + 1, -1):
+            with pytest.raises(ValueError, match=f"invalid action {bad} for agent 1"):
+                world.step(state, {0: STAY, 1: bad}, rng)
+        world.step(state, {0: STAY, 1: max(world.ACTIONS)}, rng)
 
 
 class TestReferenceForms:

@@ -203,6 +203,7 @@ IMPOSSIBLE = {
     "negative objects": ("lbf", lambda d: d["environment"].update(n_objects=-1)),
     "full wolfpack grid": ("wolfpack", grid_edit(2, 2, 2, prey_count=2)),
     "lbf grid one cell short": ("lbf", grid_edit(2, 2, 2, n_objects=3)),
+    "negative seed": ("wolfpack", lambda d: d.update(seed=-3)),
 }
 # The tightest grids that load, one per env.
 TIGHTEST = {"wolfpack": grid_edit(2, 2, 2, prey_count=1), "lbf": grid_edit(2, 2, 2, n_objects=2)}
@@ -732,6 +733,18 @@ cli.main()
             assert cli(args + ["--team-limit", limit]) == rc, (algorithm, limit)
             captured = capsys.readouterr()
             assert message in captured.out + captured.err
+
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        run_dir = run_training(tiny_cfg(total_steps=0), tmp_path / "run")
+        cfg_path = os.path.join(run_dir, "config.json")
+        fresh, analysis = tmp_path / "fresh", tmp_path / "analysis.json"
+        assert cli(["train", "--config", cfg_path, "--out", str(fresh), "--seed", "-1"]) == 2
+        args = ["--checkpoint", os.path.join(run_dir, "ckpt_000000000.otck")]
+        args += ["--config", cfg_path, "--seed", "-1"]
+        assert cli(["eval", *args, "--episodes", "1"]) == 2
+        assert cli(["analyze", *args, "--out", str(analysis)]) == 2
+        assert not fresh.exists() and not analysis.exists()
+        assert capsys.readouterr().err.count("--seed must be >= 0") == 3
 
     def test_zero_episodes_usage_error(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)

@@ -18,8 +18,8 @@ from openteam.learner.model import (
     embed_rows,
     env_dims,
     init_model_net,
-    init_value_net,
     preprocess,
+    value_net_layout,
     stacked,
 )
 from openteam.learner.values import (
@@ -224,14 +224,14 @@ class TestEmbedTypes:
 
     def test_identical_inputs_identical_embeddings(self):
         rng = np.random.default_rng(1)
-        params = init_value_net(6, 4, NET, rng)
+        params = nn.draw(value_net_layout(6, 4, NET), rng)
         batch = np.tile(rng.normal(size=(1, 6)), (2, 1))
         h, c = embed_rows(params, batch, np.zeros((2, NET.embedding_dim)), np.zeros((2, NET.embedding_dim)))
         assert np.array_equal(h.data[0], h.data[1])
 
     def test_matches_per_agent_loop_oracle(self):
         rng = np.random.default_rng(2)
-        params = init_value_net(6, 4, NET, rng)
+        params = nn.draw(value_net_layout(6, 4, NET), rng)
         batch = rng.normal(size=(3, 6))
         h0 = rng.normal(size=(3, NET.embedding_dim))
         c0 = rng.normal(size=(3, NET.embedding_dim))
@@ -245,7 +245,7 @@ class TestEmbedTypes:
 class TestComputeUtilities:
     def test_zero_factor_head_means_zero_pairwise(self):
         rng = np.random.default_rng(4)
-        params = init_value_net(6, 4, NET, rng)
+        params = nn.draw(value_net_layout(6, 4, NET), rng)
         zeroed = {
             **params.arrays,
             "fac.w2": np.zeros(params["fac.w2"].data.shape),
@@ -278,7 +278,7 @@ class TestComputeUtilities:
     def test_learner_embedding_is_paired(self):
         # the learner's own row pairs its embedding with itself
         rng = np.random.default_rng(7)
-        params = init_value_net(6, 4, NET, rng)
+        params = nn.draw(value_net_layout(6, 4, NET), rng)
         h = Tensor(rng.normal(size=(2, NET.embedding_dim)))
         tables = team_tables(params, h)
         pair = T.concat_last([h, T.select_rows(h, [0, 0])])
@@ -447,7 +447,7 @@ class TestMarginalQ:
 
     def test_openness_consistency_after_noop_preprocess(self):
         rng = np.random.default_rng(20)
-        params_v = init_value_net(6, 4, NET, rng)
+        params_v = nn.draw(value_net_layout(6, 4, NET), rng)
         params_m = init_model_net(6, 4, NET, rng)
         store = EmbeddingStore(NET.embedding_dim)
         obs = obs_for([0, 1, 2])
@@ -566,7 +566,7 @@ class TestPoliciesAndTargets:
 class TestGradientIsolation:
     def test_value_and_model_gradients_do_not_mix(self):
         rng = np.random.default_rng(27)
-        params_v = init_value_net(5, 4, NET, rng)
+        params_v = nn.draw(value_net_layout(5, 4, NET), rng)
         params_m = init_model_net(5, 4, NET, rng)
         batch = rng.normal(size=(3, 5))
         h0 = np.zeros((3, NET.embedding_dim))

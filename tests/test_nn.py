@@ -10,28 +10,28 @@ from openteam.tensor import OpError, Tensor, grad_check
 
 class TestInit:
     def test_deterministic_given_seed(self):
-        a = nn.init_mlp([2, 3], np.random.default_rng(7))
-        b = nn.init_mlp([2, 3], np.random.default_rng(7))
+        a = nn.draw(nn.mlp_layout([2, 3]), np.random.default_rng(7))
+        b = nn.draw(nn.mlp_layout([2, 3]), np.random.default_rng(7))
         assert a.names() == b.names()
         for name in a.names():
             assert np.array_equal(a[name].data, b[name].data)
 
     def test_biases_zero(self):
-        store = nn.init_mlp([4, 8, 3], np.random.default_rng(0))
+        store = nn.draw(nn.mlp_layout([4, 8, 3]), np.random.default_rng(0))
         assert np.all(store["b0"].data == 0) and np.all(store["b1"].data == 0)
 
     def test_weight_bound_follows_fan_in(self):
-        store = nn.init_mlp([100, 70], np.random.default_rng(1))
+        store = nn.draw(nn.mlp_layout([100, 70]), np.random.default_rng(1))
         w = store["w0"].data
         assert w.shape == (100, 70)
         assert np.all(np.abs(w) < 0.1)  # 1/sqrt(100)
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
-            nn.init_mlp([5], np.random.default_rng(0))
+            nn.draw(nn.mlp_layout([5]), np.random.default_rng(0))
 
     def test_lstm_param_shapes(self):
-        store = nn.init_lstm(6, 10, np.random.default_rng(0))
+        store = nn.draw(nn.lstm_layout(6, 10), np.random.default_rng(0))
         assert store["w"].data.shape == (16, 40)
         assert store["b"].data.shape == (40,)
 
@@ -57,7 +57,7 @@ class TestMlpForward:
 
     def test_single_layer_is_affine(self):
         rng = np.random.default_rng(5)
-        store = nn.init_mlp([3, 2], rng)
+        store = nn.draw(nn.mlp_layout([3, 2]), rng)
         x = Tensor(rng.normal(size=(4, 3)))
         out = nn.mlp_forward(store, x)
         direct = T.matmul(x, store["w0"]) + store["b0"]
@@ -65,7 +65,7 @@ class TestMlpForward:
 
     def test_gradcheck_two_layer(self):
         rng = np.random.default_rng(9)
-        store = nn.init_mlp([3, 5, 1], rng)
+        store = nn.draw(nn.mlp_layout([3, 5, 1]), rng)
         x = Tensor(rng.normal(size=(2, 3)))
         for name in store.names():
             def f(p, name=name):
@@ -74,7 +74,7 @@ class TestMlpForward:
             assert grad_check(f, store[name]) <= 1e-4
 
     def test_shape_mismatch_rejected(self):
-        store = nn.init_mlp([3, 2], np.random.default_rng(0))
+        store = nn.draw(nn.mlp_layout([3, 2]), np.random.default_rng(0))
         with pytest.raises(OpError):
             nn.mlp_forward(store, Tensor(np.ones((2, 5))))
 
@@ -83,7 +83,7 @@ class TestMlpForward:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 3))
         for sizes in ([3, 4, 2], [3, 4, 5, 2], [3, 2], [3, 4, 2]):
-            store = nn.init_mlp(sizes, rng, prefix="p.")
+            store = nn.draw(nn.mlp_layout(sizes, prefix="p."), rng)
             out = x
             for layer in range(len(sizes) - 1):
                 out = out @ store[f"p.w{layer}"].data + store[f"p.b{layer}"].data
@@ -109,7 +109,7 @@ class TestLstmStep:
 
     def test_gradcheck_through_three_steps(self):
         rng = np.random.default_rng(13)
-        store = nn.init_lstm(3, 4, rng)
+        store = nn.draw(nn.lstm_layout(3, 4), rng)
         xs = [Tensor(rng.normal(size=(2, 3))) for _ in range(3)]
         for name in store.names():
             def f(p, name=name):
@@ -137,7 +137,7 @@ class TestLstmStep:
     @pytest.mark.parametrize("rows,hidden", [(1, 4), (3, 8), (5, 16)])
     def test_gate_slab_matches_per_gate_bytes(self, rows, hidden):
         rng = np.random.default_rng(rows * 100 + hidden)
-        store = nn.init_lstm(3, hidden, rng)
+        store = nn.draw(nn.lstm_layout(3, hidden), rng)
         xs = [rng.normal(size=(rows, 3)) * 4 for _ in range(3)]
         h0, c0 = rng.normal(size=(2, rows, hidden))
         wh, wc = rng.normal(size=(2, rows, hidden))
@@ -161,7 +161,7 @@ class TestLstmStep:
         calls = []
         forward_op = T.forward_op
         monkeypatch.setattr(T, "forward_op", lambda kind, *a, **k: calls.append(kind) or forward_op(kind, *a, **k))
-        store = nn.init_lstm(3, 4, np.random.default_rng(0))
+        store = nn.draw(nn.lstm_layout(3, 4), np.random.default_rng(0))
         nn.lstm_step(store, Tensor(np.ones((2, 3))), (Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))))
         assert len(calls) == 14 and calls.count("sigmoid") == 1
 
@@ -184,7 +184,7 @@ class TestLstmStep:
 class TestGraphBlock:
     def test_single_node_uses_zero_aggregate(self):
         rng = np.random.default_rng(21)
-        store = nn.init_graph_block(3, [4, 5], [4, 6], rng)
+        store = nn.draw(nn.graph_block_layout(3, [4, 5], [4, 6]), rng)
         node = Tensor(rng.normal(size=(1, 3)))
         out = nn.graph_block_grouped(store, node, [(0, 1)])
         direct = nn.mlp_forward(
@@ -194,7 +194,7 @@ class TestGraphBlock:
 
     def test_permutation_equivariance_exact(self):
         rng = np.random.default_rng(22)
-        store = nn.init_graph_block(4, [5, 6], [5, 7], rng)
+        store = nn.draw(nn.graph_block_layout(4, [5, 6], [5, 7]), rng)
         nodes = rng.normal(size=(5, 4))
         base = nn.graph_block_grouped(store, Tensor(nodes), [(0, 5)]).data
         for _ in range(10):
@@ -204,7 +204,7 @@ class TestGraphBlock:
 
     def test_three_nodes_match_edge_by_edge_oracle(self):
         rng = np.random.default_rng(23)
-        store = nn.init_graph_block(3, [4, 5], [4, 6], rng)
+        store = nn.draw(nn.graph_block_layout(3, [4, 5], [4, 6]), rng)
         nodes = rng.normal(size=(3, 3))
         out = nn.graph_block_grouped(store, Tensor(nodes), [(0, 3)]).data
 
@@ -255,13 +255,13 @@ class TestGraphBlock:
             assert np.array_equal(got[3], want[3])
 
     def test_zero_agents_rejected(self):
-        store = nn.init_graph_block(3, [4, 5], [4, 6], np.random.default_rng(0))
+        store = nn.draw(nn.graph_block_layout(3, [4, 5], [4, 6]), np.random.default_rng(0))
         with pytest.raises(OpError):
             nn.graph_block_grouped(store, Tensor(np.zeros((0, 3))), [(0, 0)])
 
     def test_gradcheck(self):
         rng = np.random.default_rng(24)
-        store = nn.init_graph_block(3, [4, 4], [4, 4], rng)
+        store = nn.draw(nn.graph_block_layout(3, [4, 4], [4, 4]), rng)
         nodes = Tensor(rng.normal(size=(3, 3)))
         for name in store.names():
             def f(p, name=name):
@@ -301,7 +301,7 @@ class TestParamStore:
 
     def test_accumulate_adds_gradients_in_layout_order(self):
         rng = np.random.default_rng(35)
-        store = nn.init_mlp([3, 4, 2], rng)
+        store = nn.draw(nn.mlp_layout([3, 4, 2]), rng)
         tape = T.Tape()
         leaves = store.bind(tape)
         out = nn.mlp_forward({**leaves, "b1": store.arrays["b1"]}, rng.normal(size=(2, 3)))
@@ -326,7 +326,7 @@ def adam(params, grads, state):
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         rng = np.random.default_rng(31)
-        store = nn.init_mlp([3, 2], rng)
+        store = nn.draw(nn.mlp_layout([3, 2]), rng)
         state = nn.AdamState(store.vector.size, lr=0.01)
         updated = adam(store.vector.copy(), [flat(store, {})], state)
         assert updated.tobytes() == store.vector.tobytes()
@@ -368,7 +368,7 @@ class TestAdam:
         # steps (the first included) on a store of several parameters; one
         # gradient is zero in places, as where no loss reached.
         rng = np.random.default_rng(36)
-        store = nn.init_graph_block(3, [4, 5], [4, 6], rng)
+        store = nn.draw(nn.graph_block_layout(3, [4, 5], [4, 6]), rng)
         grads = [rng.normal(size=store.vector.size) * scale for scale in (1.0, 1e-3, 50.0, 1.0)]
         grads[1][:20] = 0.0
         params = store.vector.copy()
@@ -385,7 +385,7 @@ class TestAdam:
 
     def test_untouched_params_unchanged(self):
         rng = np.random.default_rng(33)
-        store = nn.init_mlp([2, 2, 2], rng)
+        store = nn.draw(nn.mlp_layout([2, 2, 2]), rng)
         grad = flat(store, {"w0": np.ones((2, 2))})
         updated = store.with_vector(adam(store.vector.copy(), [grad], nn.AdamState(grad.size)))
         assert np.array_equal(updated["w1"].data, store["w1"].data)

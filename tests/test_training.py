@@ -13,7 +13,7 @@ from openteam.learner import model as model_module
 from openteam.learner import trainer as trainer_module
 from openteam.learner.baseline import (
     SlotMap,
-    init_baseline_net,
+    baseline_net_layout,
     pad_observation,
     ql_baseline_forward,
 )
@@ -31,8 +31,8 @@ from openteam.learner.trainer import (
     Trainer,
     collect_transitions,
     heldout_nll,
-    init_params,
     mean_ci,
+    param_layouts,
     train,
     train_agent_model_supervised,
     window_loss,
@@ -204,34 +204,28 @@ class TestTrainLoop:
         monkeypatch.setattr(model_module, "make_session", lambda *a: probes.append(a) or make(*a))
         return probes
 
-    @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI"])
+    @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
     def test_one_probe_session_per_trainer_and_none_per_policy(self, algorithm, monkeypatch):
         # The env widths are read once per build, off one probe session; a
-        # GPL policy reads nothing off the env.
+        # policy reads nothing off the env, and a baseline's step takes the
+        # action count from its world's ACTIONS.
         probes = self.count_probes(monkeypatch)
         cfg = tiny_cfg(algorithm)
         trainer = Trainer(cfg)
         assert len(probes) == 1
-        GplPolicy(cfg, trainer.value_params, trainer.model_params, np.random.default_rng(0))
-        assert len(probes) == 1
-
-    @pytest.mark.parametrize("algorithm", ["QL", "QL-AM"])
-    def test_baselines_read_the_action_count_off_the_env(self, algorithm, monkeypatch):
-        # A baseline's step reads the env's action count off a probe session
-        # of its own: one more probe per trainer (after the widths) and one
-        # per policy.
-        probes = self.count_probes(monkeypatch)
-        cfg = tiny_cfg(algorithm)
-        trainer = Trainer(cfg)
-        assert len(probes) == 2
         policy = GplPolicy(cfg, trainer.value_params, trainer.model_params, np.random.default_rng(0))
-        assert len(probes) == 3
-        assert policy.step.action_count == trainer.step.action_count == env_dims(cfg)[2]
+        assert len(probes) == 1
+        if algorithm in ("QL", "QL-AM"):
+            assert policy.step.action_count == trainer.step.action_count == env_dims(cfg)[2]
 
     @pytest.mark.parametrize("algorithm", ["GPL-Q", "GPL-SPI", "QL", "QL-AM"])
     def test_init_params_builds_the_trainer_stores(self, algorithm):
-        cfg = tiny_cfg(algorithm)
-        value, model = init_params(cfg, np.random.default_rng(0), env_dims(cfg))
+        # The trainer draws the layouts, value first, from child 0 of its seed.
+        cfg = tiny_cfg(algorithm, seed=3)
+        rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+        value, model = (
+            None if lay is None else nn.draw(lay, rng) for lay in param_layouts(cfg, env_dims(cfg))
+        )
         stores = Trainer(cfg).stores()
         # The store order is the checkpoint byte layout.
         order = {
@@ -242,9 +236,11 @@ class TestTrainLoop:
         }
         assert list(stores) == order[algorithm]
         assert value.shapes() == stores["value"].shapes()
+        assert value.vector.tobytes() == stores["value"].vector.tobytes()
         assert (model is None) == (algorithm == "QL") == ("agent_model" not in stores)
         if model is not None:
             assert model.shapes() == stores["agent_model"].shapes()
+            assert model.vector.tobytes() == stores["agent_model"].vector.tobytes()
 
     def test_mean_ci(self):
         assert mean_ci([]) == (None, None)
@@ -777,7 +773,7 @@ class TestPadObservation:
 
 class TestBaselineForward:
     def test_zero_params_zero_values(self):
-        params = init_baseline_net(10, 5, SMALL_NET, np.random.default_rng(0))
+        params = nn.draw(baseline_net_layout(10, 5, SMALL_NET), np.random.default_rng(0))
         zeroed = nn.ParamStore({n: np.zeros(shape) for n, shape in params.shapes().items()})
         q, _ = ql_baseline_forward(
             zeroed, np.ones(10), (Tensor(np.zeros((1, 8))), Tensor(np.zeros((1, 8))))
@@ -785,7 +781,7 @@ class TestBaselineForward:
         assert np.all(q.data == 0)
 
     def test_deterministic(self):
-        params = init_baseline_net(10, 5, SMALL_NET, np.random.default_rng(1))
+        params = nn.draw(baseline_net_layout(10, 5, SMALL_NET), np.random.default_rng(1))
         state = (Tensor(np.zeros((1, 8))), Tensor(np.zeros((1, 8))))
         x = np.linspace(-1, 1, 10)
         a, _ = ql_baseline_forward(params, x, state)
@@ -793,14 +789,14 @@ class TestBaselineForward:
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_wrong_length_rejected(self):
-        params = init_baseline_net(10, 5, SMALL_NET, np.random.default_rng(2))
+        params = nn.draw(baseline_net_layout(10, 5, SMALL_NET), np.random.default_rng(2))
         state = (Tensor(np.zeros((1, 8))), Tensor(np.zeros((1, 8))))
         with pytest.raises(ValueError):
             ql_baseline_forward(params, np.ones(11), state)
 
     def test_gradcheck_through_two_steps(self):
         rng = np.random.default_rng(3)
-        params = init_baseline_net(6, 4, SMALL_NET, rng)
+        params = nn.draw(baseline_net_layout(6, 4, SMALL_NET), rng)
         x1, x2 = rng.normal(size=6), rng.normal(size=6)
         for name in ("embed.lstm.w", "head.w0", "embed.fc.w0"):
             def f(p, name=name):

@@ -35,7 +35,7 @@ import tempfile  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from openteam.config import default_config  # noqa: E402
+from openteam.config import ALGORITHMS, ENVS, default_config  # noqa: E402
 from openteam.envs.session import OpenEnv  # noqa: E402
 from openteam.harness.analyze import analyze_pairwise  # noqa: E402
 from openteam.harness.run import evaluate, run_training  # noqa: E402
@@ -45,8 +45,6 @@ from openteam.learner.trainer import (  # noqa: E402
     train_agent_model_supervised,
 )
 
-ALGORITHMS = ("GPL-Q", "GPL-SPI", "QL", "QL-AM")
-ENVS = ("wolfpack", "lbf")
 ACTIONS = []  # learner actions of every environment step, in order
 _step = OpenEnv.step
 
