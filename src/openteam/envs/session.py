@@ -5,6 +5,7 @@ module (`envs.WORLDS`) through the interface every world offers. Each step it
 collects teammate actions from their scripted policies, advances the grid,
 then runs the openness process: departed agents leave the grid, arriving
 agents are placed on random empty cells with freshly sampled traits.
+`rollout` is the one loop that plays a session's episodes with a learner.
 """
 
 from __future__ import annotations
@@ -88,6 +89,38 @@ class OpenEnv:
                 )
                 self.world.add_agent(self.state, agent_id, self.rng)
         return StepResult(self.observe(), reward, done, departures, arrivals, joint)
+
+
+class RandomPolicy:
+    """A uniform-random learner, with `GplPolicy`'s `reset`/`act`/`observe`."""
+
+    def __init__(self, action_count: int, rng):
+        self.action_count = action_count
+        self.rng = rng
+
+    def reset(self, obs):
+        pass
+
+    def act(self, obs) -> int:
+        return int(self.rng.integers(0, self.action_count))
+
+    def observe(self, result):
+        pass
+
+
+def rollout(session: OpenEnv, policy):
+    """(observation, `StepResult`) of each step of `policy` playing `session`,
+    episode after episode, without end: each step calls `policy.act`, then
+    `session.step`, then `policy.observe`."""
+    while True:
+        obs = session.reset()
+        policy.reset(obs)
+        done = False
+        while not done:
+            res = session.step(policy.act(obs))
+            policy.observe(res)
+            yield obs, res
+            obs, done = res.obs, res.done
 
 
 def make_session(env_cfg: EnvConfig, openness_cfg: OpennessConfig, seed_or_rng) -> OpenEnv:

@@ -17,14 +17,15 @@ metrics are correlated (Pearson) against the episode returns.
 
 from __future__ import annotations
 
-import json
+from itertools import permutations
 
 import numpy as np
 
 from .. import tensor as T
 from ..config import GPL_ALGORITHMS, RunConfig
+from ..envs.session import rollout
 from .checkpoint import CheckpointError
-from .run import load_policy
+from .run import eval_config, load_policy
 
 
 def action_mean(table: np.ndarray, a_j: int) -> float:
@@ -58,51 +59,40 @@ def analyze_pairwise(
     checkpoint_path, cfg: RunConfig, episodes: int = 10, seed: int = 0, literal: bool = False
 ) -> dict:
     """Greedy-trajectory analysis table for a coordination-graph checkpoint,
-    loaded and checked against `cfg` as `evaluate` does (`load_policy`)."""
+    validated (`eval_config`) and loaded as `evaluate` does (`load_policy`)."""
+    cfg = eval_config(cfg, episodes, None)
     if cfg.algorithm not in GPL_ALGORITHMS:
         raise CheckpointError(f"analysis needs a coordination-graph run, got {cfg.algorithm!r}")
     policy, session, manifest = load_policy(checkpoint_path, cfg, seed)
-    if policy.model_params is None:
-        raise CheckpointError("checkpoint lacks the agent model store")
 
     episode_rows = []
-    for episode in range(episodes):
-        obs = session.reset()
-        policy.reset(obs)
-        total = 0.0
-        means, devs, steps = [], [], 0
-        done = False
-        while not done:
-            action = policy.act(obs)
-            res = session.step(action)
-            tables = policy.last_tables
-            joint = res.joint_action
-            pair_means, pair_devs = [], []
-            ids = tables.agent_ids
-            for j in ids:
-                for k in ids:
-                    if j == k:
-                        continue
-                    table = T.raw(tables.pairwise(j, k))
-                    pair_means.append(action_mean(table, joint[j]))
-                    pair_devs.append(deviation(table, joint[j], joint[k], literal=literal))
-            if pair_means:
-                means.append(float(np.mean(pair_means)))
-                devs.append(float(np.mean(pair_devs)))
-            policy.observe(res)
-            total += res.reward
-            obs = res.obs
-            done = res.done
-            steps += 1
+    total, means, devs, steps = 0.0, [], [], 0
+    for _, res in rollout(session, policy):
+        tables, joint = policy.last_tables, res.joint_action
+        pair_means, pair_devs = [], []
+        for j, k in permutations(tables.agent_ids, 2):
+            table = T.raw(tables.pairwise(j, k))
+            pair_means.append(action_mean(table, joint[j]))
+            pair_devs.append(deviation(table, joint[j], joint[k], literal=literal))
+        if pair_means:
+            means.append(float(np.mean(pair_means)))
+            devs.append(float(np.mean(pair_devs)))
+        total += res.reward
+        steps += 1
+        if not res.done:
+            continue
         episode_rows.append(
             {
-                "episode": episode,
+                "episode": len(episode_rows),
                 "return": total,
                 "steps": steps,
                 "mean_pair_action_value": float(np.mean(means)) if means else None,
                 "mean_pair_deviation": float(np.mean(devs)) if devs else None,
             }
         )
+        if len(episode_rows) == episodes:
+            break
+        total, means, devs, steps = 0.0, [], [], 0
 
     with_pairs = [r for r in episode_rows if r["mean_pair_action_value"] is not None]
     returns = [r["return"] for r in with_pairs]
@@ -119,9 +109,3 @@ def analyze_pairwise(
         },
         "literal_deviation": literal,
     }
-
-
-def write_analysis(result: dict, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")

@@ -83,9 +83,6 @@ def cli(argv) -> int:
         if args.command == "eval":
             from .run import evaluate, load_config
 
-            if args.episodes < 1:
-                print("error: --episodes must be >= 1", file=sys.stderr)
-                return 2
             cfg = load_config(args.config)
             record = evaluate(
                 args.checkpoint, cfg, args.episodes, args.seed, team_limit=args.team_limit
@@ -94,8 +91,8 @@ def cli(argv) -> int:
             return 0
 
         if args.command == "analyze":
-            from .analyze import analyze_pairwise, write_analysis
-            from .run import load_config
+            from .analyze import analyze_pairwise
+            from .run import _write_json, load_config
 
             cfg = load_config(args.config)
             result = analyze_pairwise(
@@ -105,7 +102,7 @@ def cli(argv) -> int:
                 seed=args.seed,
                 literal=args.literal_deviation,
             )
-            write_analysis(result, args.out)
+            _write_json(args.out, result)
             print(f"analysis written: {args.out}")
             return 0
 

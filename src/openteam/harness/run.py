@@ -11,7 +11,7 @@ import numpy as np
 
 from .. import nn
 from ..config import ConfigError, RunConfig, config_from_dict, config_to_dict
-from ..envs.session import make_session
+from ..envs.session import RandomPolicy, make_session, rollout
 from ..learner.model import env_dims
 from ..learner.trainer import GplPolicy, mean_ci, param_layouts, train
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, shape_diff
@@ -75,21 +75,27 @@ def _check_compatible(cfg: RunConfig, stores: dict):
         )
 
 
+def _eval_streams(cfg: RunConfig, seed: int):
+    """(evaluation session, policy rng) on the two streams spawned from
+    `seed`, in that order."""
+    seeds = np.random.SeedSequence(seed).spawn(2)
+    session = make_session(cfg.env, cfg.openness_eval, np.random.default_rng(seeds[0]))
+    return session, np.random.default_rng(seeds[1])
+
+
 def load_policy(checkpoint_path, cfg: RunConfig, seed: int):
     """(policy, evaluation session, manifest) of the checkpoint at
     `checkpoint_path`, after checking that its stores fit `cfg`; the session
-    and the policy draw from the two streams spawned from `seed`."""
+    and the policy draw from the streams of `seed` (`_eval_streams`)."""
     stores, manifest = load_checkpoint(checkpoint_path)
     _check_compatible(cfg, stores)
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    session = make_session(cfg.env, cfg.openness_eval, np.random.default_rng(seeds[0]))
-    rng = np.random.default_rng(seeds[1])
+    session, rng = _eval_streams(cfg, seed)
     return GplPolicy(cfg, stores["value"], stores.get("agent_model"), rng), session, manifest
 
 
-def _eval_config(cfg: RunConfig, episodes: int, team_limit: int | None) -> RunConfig:
+def eval_config(cfg: RunConfig, episodes: int, team_limit: int | None) -> RunConfig:
     """`cfg` with its evaluation team limit set to `team_limit` (when given),
-    validated before any episode runs."""
+    validated before any episode runs or checkpoint is read."""
     if episodes < 1:
         raise ConfigError("need at least one evaluation episode")
     if team_limit is not None:
@@ -97,47 +103,30 @@ def _eval_config(cfg: RunConfig, episodes: int, team_limit: int | None) -> RunCo
     return cfg.validate()
 
 
+def _returns_record(global_step: int, session, policy, episodes: int) -> MetricRecord:
+    """Record of the mean return (with 95% CI) of the first `episodes`
+    episodes of `policy` playing `session`."""
+    returns = [0.0]
+    for _, res in rollout(session, policy):
+        returns[-1] += res.reward
+        if res.done:
+            if len(returns) == episodes:
+                return MetricRecord(global_step, episodes, *mean_ci(returns))
+            returns.append(0.0)
+
+
 def evaluate(
     checkpoint_path, cfg: RunConfig, episodes: int, seed: int, team_limit: int | None = None
 ) -> MetricRecord:
     """Mean return (with 95% CI) of the stored policy under the evaluation
     openness process. Pure function of (checkpoint, config, seed)."""
-    cfg = _eval_config(cfg, episodes, team_limit)
+    cfg = eval_config(cfg, episodes, team_limit)
     policy, session, manifest = load_policy(checkpoint_path, cfg, seed)
-    returns = []
-    for _ in range(episodes):
-        obs = session.reset()
-        policy.reset(obs)
-        total = 0.0
-        done = False
-        while not done:
-            action = policy.act(obs)
-            res = session.step(action)
-            policy.observe(res)
-            total += res.reward
-            obs = res.obs
-            done = res.done
-        returns.append(total)
-
-    mean, ci = mean_ci(returns)
-    return MetricRecord(int(manifest.get("global_step", 0)), len(returns), mean, ci)
+    return _returns_record(int(manifest.get("global_step", 0)), session, policy, episodes)
 
 
 def random_policy_record(cfg: RunConfig, episodes: int, seed: int, team_limit=None) -> MetricRecord:
     """Uniform-random learner baseline under the same evaluation process."""
-    cfg = _eval_config(cfg, episodes, team_limit)
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    session = make_session(cfg.env, cfg.openness_eval, np.random.default_rng(seeds[0]))
-    rng = np.random.default_rng(seeds[1])
-    returns = []
-    for _ in range(episodes):
-        session.reset()
-        total = 0.0
-        done = False
-        while not done:
-            res = session.step(int(rng.integers(0, session.action_count)))
-            total += res.reward
-            done = res.done
-        returns.append(total)
-    mean, ci = mean_ci(returns)
-    return MetricRecord(0, len(returns), mean, ci)
+    cfg = eval_config(cfg, episodes, team_limit)
+    session, rng = _eval_streams(cfg, seed)
+    return _returns_record(0, session, RandomPolicy(session.action_count, rng), episodes)

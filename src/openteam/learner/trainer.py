@@ -44,21 +44,24 @@ its stored states and then discarded). Only the online pathway is taped:
 the target pathway and acting pass the stores' plain arrays
 (`ParamStore.arrays`), so they build no Tensor.
 
-The supervised agent-model fit on stored episodes (`window_loss`) and its
-held-out score (`heldout_nll`) batch each step's observations through the
-same `Teams` and score the teammates' actions with the same `teammate_nll`.
+The supervised agent-model fit (`window_loss`) and its held-out score
+(`heldout_nll`) run on episodes that a random learner played through
+`envs.session.rollout` (`collect_transitions`); they batch each step's
+observations through the same `Teams` and score the teammates' actions with
+the same `teammate_nll`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .. import nn
 from .. import tensor as T
 from ..config import GPL_ALGORITHMS, RunConfig
-from ..envs.session import make_session
+from ..envs.session import RandomPolicy, make_session, rollout
 from ..tensor import Tape, Tensor, backward
 from .baseline import PaddedStep, SlotMap, baseline_net_layout, padded_input_len
 from .model import (
@@ -493,37 +496,29 @@ class GplPolicy:
 
 
 def collect_transitions(cfg: RunConfig, steps: int, seed: int) -> list:
-    """Roll out a uniform-random learner; returns a list of episodes, each a
-    list of (observation, `StepResult` of the step taken from it). The
-    session builds every observation and result afresh, so they are kept as
-    they are."""
+    """The first `steps` (observation, `StepResult`) pairs of a random learner
+    playing a training session on the same stream, split into episodes at
+    `done` (the last may be unfinished). The session builds every observation
+    and result afresh, so they are kept as they are."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     session = make_session(cfg.env, cfg.openness_train, rng)
-    episodes = []
-    current = []
-    obs = session.reset()
-    for _ in range(steps):
-        action = int(rng.integers(0, session.action_count))
-        res = session.step(action)
-        current.append((obs, res))
-        obs = res.obs
+    episodes = [[]]
+    for obs, res in islice(rollout(session, RandomPolicy(session.action_count, rng)), steps):
+        episodes[-1].append((obs, res))
         if res.done:
-            episodes.append(current)
-            current = []
-            obs = session.reset()
-    if current:
-        episodes.append(current)
-    return episodes
+            episodes.append([])
+    return [episode for episode in episodes if episode]
 
 
 def heldout_nll(model_params, cfg: RunConfig, episodes) -> float:
     """Mean per-action negative log likelihood over stored episodes, each
-    stepped through the trainer's online agent-model pass (`model_pass`)."""
+    replayed through a `GplStep` slot and the trainer's online agent-model
+    pass (`model_pass`); ValueError when no teammate acted."""
+    step = GplStep(cfg)
     total, count = 0.0, 0
     for episode in episodes:
-        first = episode[0][0]
-        slot = _Slot(None, first, EmbeddingStore(cfg.net.embedding_dim, ("model",)))
-        preprocess(first, slot.store, [], first.order)
+        slot = _Slot(None)
+        step.begin(slot, episode[0][0])
         for _, res in episode:
             teams, probs = model_pass(model_params.arrays, [slot], write=True)
             if teams.mates:
@@ -531,9 +526,10 @@ def heldout_nll(model_params, cfg: RunConfig, episodes) -> float:
                 count += len(teams.mates)
             if res.done:
                 break
-            slot.obs = res.obs
-            preprocess(slot.obs, slot.store, res.departures, res.arrivals)
-    return total / max(count, 1)
+            step.follow(slot, res)
+    if not count:
+        raise ValueError("no teammate action was scored")
+    return total / count
 
 
 def window_loss(params, episodes, targets, window: int, dim: int) -> Tensor:

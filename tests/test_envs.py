@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from openteam.envs.base import DOWN, LEFT, LOAD, RIGHT, STAY, UP, EnvConfig, res
 from openteam.envs import WORLDS, foraging, wolfpack
 from openteam.envs.foraging import FoodItem, LbfState, lbf_step
 from openteam.envs.wolfpack import WolfState, prey_act, wolf_step
-from openteam.envs.session import make_session
+from openteam.envs.session import OpenEnv, RandomPolicy, make_session, rollout
+from openteam.learner.trainer import collect_transitions
 from openteam.openness import LEARNER_ID, OpennessConfig, reset_roster
 from openteam.teammates import _team_plans
 
@@ -292,6 +294,103 @@ class TestSession:
             return trace
 
         assert run(42) == run(42)
+
+
+class LoggedEnv(OpenEnv):
+    """A session that logs each reset and step, with its result, in `calls`."""
+
+    def __init__(self, *args, calls):
+        super().__init__(*args)
+        self.calls = calls
+
+    def reset(self):
+        obs = super().reset()
+        self.calls.append(("session.reset", obs))
+        return obs
+
+    def step(self, action):
+        res = super().step(action)
+        self.calls.append(("session.step", res))
+        return res
+
+
+class LoggedPolicy:
+    """A learner that always stays and logs each call, with its argument."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def reset(self, obs):
+        self.calls.append(("reset", obs))
+
+    def act(self, obs):
+        self.calls.append(("act", obs))
+        return STAY
+
+    def observe(self, res):
+        self.calls.append(("observe", res))
+
+
+class TestRollout:
+    """`rollout`, the one episode loop: its call order, `RandomPolicy` played
+    through it, and `collect_transitions`' split of it into episodes."""
+
+    def test_each_step_acts_steps_then_observes_and_done_resets(self):
+        calls = []
+        openness = OpennessConfig((5, 8), (2, 4), 3, ("wolf.H1", "wolf.H2"))
+        env_cfg = replace(EnvConfig.defaults("wolfpack"), horizon=3)
+        session = LoggedEnv(env_cfg, openness, np.random.default_rng(0), calls=calls)
+        steps = list(islice(rollout(session, LoggedPolicy(calls)), 7))
+        assert [res.done for _, res in steps] == [False, False, True] * 2 + [False]
+        expected = []
+        for k, (obs, res) in enumerate(steps):
+            if k == 0 or steps[k - 1][1].done:
+                expected += [("session.reset", obs), ("reset", obs)]
+            else:
+                assert obs is steps[k - 1][1].obs
+            expected += [("act", obs), ("session.step", res), ("observe", res)]
+        assert [name for name, _ in calls] == [name for name, _ in expected]
+        assert all(got is want for (_, got), (_, want) in zip(calls, expected))
+
+    @staticmethod
+    def trace(obs, res):
+        fields = (obs.order, sorted(res.joint_action.items()), res.reward, res.done)
+        fields += (res.departures, res.arrivals, res.obs.order)
+        return repr(fields).encode() + obs.batch_rows().tobytes() + res.obs.batch_rows().tobytes()
+
+    @pytest.mark.parametrize("env_name", ["wolfpack", "lbf"])
+    def test_random_policy_replays_the_hand_loop(self, env_name):
+        openness = default_config(env_name, "GPL-Q").openness_eval
+        steps = 1500
+        # The reference form: a hand loop that draws each learner action from
+        # the session's own stream right before the step.
+        session = make_session(EnvConfig.defaults(env_name), openness, 4)
+        obs, want, episodes = session.reset(), [], 0
+        for _ in range(steps):
+            res = session.step(int(session.rng.integers(0, session.action_count)))
+            want.append(self.trace(obs, res))
+            episodes += res.done
+            obs = session.reset() if res.done else res.obs
+        assert episodes >= 2
+        session = make_session(EnvConfig.defaults(env_name), openness, 4)
+        policy = RandomPolicy(session.action_count, session.rng)
+        got = [self.trace(obs, res) for obs, res in islice(rollout(session, policy), steps)]
+        assert got == want
+
+    @pytest.mark.parametrize("env_name", ["wolfpack", "lbf"])
+    @pytest.mark.parametrize("steps", [28, 30])
+    def test_collect_transitions_splits_at_done(self, env_name, steps):
+        cfg = default_config(env_name, "GPL-Q")
+        cfg = replace(cfg, env=replace(cfg.env, horizon=7)).validate()
+        episodes = collect_transitions(cfg, steps=steps, seed=2)
+        assert sum(len(episode) for episode in episodes) == steps
+        for episode in episodes:
+            assert not any(res.done for _, res in episode[:-1])
+        assert all(episode[-1][1].done for episode in episodes[:-1])
+        if env_name == "wolfpack":  # episodes end only at the horizon
+            lengths = [7] * 4 + ([2] if steps == 30 else [])
+            assert [len(episode) for episode in episodes] == lengths
+            assert episodes[-1][-1][1].done == (steps == 28)
 
 
 class TestWorldInterface:

@@ -657,6 +657,15 @@ class TestAnalysis:
         with pytest.raises(CheckpointError, match="expected"):
             analyze_pairwise(ckpt, other, episodes=1, seed=0)
 
+    @pytest.mark.parametrize("episodes", [0, -3])
+    def test_needs_an_episode(self, tmp_path, episodes):
+        # Rejected by the same check as `evaluate`, before any checkpoint read.
+        cfg = tiny_cfg(total_steps=0)
+        run_dir = run_training(cfg, tmp_path / "run")
+        for ckpt in (os.path.join(run_dir, "ckpt_000000000.otck"), str(tmp_path / "missing")):
+            with pytest.raises(ConfigError, match="at least one evaluation episode"):
+                analyze_pairwise(ckpt, cfg, episodes=episodes, seed=0)
+
     def test_non_gpl_checkpoint_rejected(self, tmp_path):
         cfg = tiny_cfg("QL")
         out = run_training(cfg, tmp_path / "run")
@@ -746,10 +755,20 @@ cli.main()
         assert not fresh.exists() and not analysis.exists()
         assert capsys.readouterr().err.count("--seed must be >= 0") == 3
 
-    def test_zero_episodes_usage_error(self, tmp_path):
+    def test_zero_episodes_usage_error(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)
         rc = cli(["eval", "--checkpoint", "x", "--config", str(cfg_path), "--episodes", "0"])
         assert rc == 2
+        # With a checkpoint that loads, analyze stops before writing anything.
+        run_dir = run_training(tiny_cfg(total_steps=0), tmp_path / "run")
+        args = ["--checkpoint", os.path.join(run_dir, "ckpt_000000000.otck")]
+        args += ["--config", os.path.join(run_dir, "config.json")]
+        for episodes in ("0", "-3"):
+            out = tmp_path / f"analysis{episodes}.json"
+            assert cli(["analyze", *args, "--episodes", episodes, "--out", str(out)]) == 2
+            assert not out.exists()
+            assert cli(["eval", *args, "--episodes", episodes]) == 2
+        assert capsys.readouterr().err.count("need at least one evaluation episode") == 5
 
     def test_unknown_flags_usage_error(self):
         assert cli(["train", "--bogus"]) == 2

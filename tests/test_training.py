@@ -610,6 +610,17 @@ class TestHeldoutNll:
         want = self.reference_nll(params, cfg, episodes, reference_forms.agent_model_step)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+    def test_raises_when_no_teammate_action_is_scored(self):
+        cfg = tiny_cfg()
+        solo = replace(cfg, openness_train=replace(cfg.openness_train, team_limit=1)).validate()
+        x_len, u_len, action_count = env_dims(solo)
+        params = init_model_net(x_len + u_len, action_count, solo.net, np.random.default_rng(0))
+        alone = collect_transitions(solo, steps=100, seed=0)
+        assert all(obs.order == [obs.learner_id] for episode in alone for obs, _ in episode)
+        for episodes in (alone, []):
+            with pytest.raises(ValueError, match="no teammate action was scored"):
+                heldout_nll(params, solo, episodes)
+
 
 class TestSupervisedWindows:
     WINDOW = 4

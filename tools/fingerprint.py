@@ -9,7 +9,10 @@ scores zero in every episode, which leaves the record blind to behaviour.
 One more row per env covers the supervised agent-model fit: the SHA-256 of
 the parameters fitted (one epoch, window 4) on all but the last two
 episodes of a 2,000-step random-learner collection, and of their
-``heldout_nll`` on those two.
+``heldout_nll`` on those two. A last row per env covers the random learner:
+the SHA-256 of that collection's learner actions, rewards and done flags,
+and of a ``random_policy_record`` at team limit 5 together with every learner
+action it took.
 A refactor that claims unchanged behaviour must print the same table
 before and after.
 
@@ -38,12 +41,13 @@ from pathlib import Path  # noqa: E402
 from openteam.config import ALGORITHMS, ENVS, default_config  # noqa: E402
 from openteam.envs.session import OpenEnv  # noqa: E402
 from openteam.harness.analyze import analyze_pairwise  # noqa: E402
-from openteam.harness.run import evaluate, run_training  # noqa: E402
+from openteam.harness.run import evaluate, random_policy_record, run_training  # noqa: E402
 from openteam.learner.trainer import (  # noqa: E402
     collect_transitions,
     heldout_nll,
     train_agent_model_supervised,
 )
+from openteam.openness import LEARNER_ID  # noqa: E402
 
 ACTIONS = []  # learner actions of every environment step, in order
 _step = OpenEnv.step
@@ -83,6 +87,21 @@ def fingerprint_supervised(env):
     return fit, hashlib.sha256(repr(nll).encode()).hexdigest()
 
 
+def fingerprint_random(env):
+    cfg = default_config(env, "GPL-Q")
+    steps = [
+        (res.joint_action[LEARNER_ID], float(res.reward), bool(res.done))
+        for episode in collect_transitions(cfg, steps=2000, seed=0)
+        for _, res in episode
+    ]
+    collection = hashlib.sha256(json.dumps(steps).encode()).hexdigest()
+    ACTIONS.clear()
+    record = random_policy_record(cfg, episodes=3, seed=0, team_limit=5)
+    evaluation = hashlib.sha256(record.to_json().encode())
+    evaluation.update(json.dumps(ACTIONS).encode())
+    return collection, evaluation.hexdigest()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--steps", type=int, default=1600)
@@ -100,6 +119,9 @@ def main():
     for env in ENVS:
         fit, nll = fingerprint_supervised(env)
         print(f"| supervised | {env} | {fit} | {nll} |", flush=True)
+    for env in ENVS:
+        collection, evaluation = fingerprint_random(env)
+        print(f"| random | {env} | {collection} | {evaluation} |", flush=True)
 
 
 if __name__ == "__main__":
